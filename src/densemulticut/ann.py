@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
+from .knn import NeighbourLists, block_topk, ranked, select_rows
 
 #: Number of best-scoring anchors a beam query starts from.
 _QUERY_ENTRIES = 4
@@ -65,16 +66,8 @@ class AnnIndex(abc.ABC):
         """Top-k candidate (id, similarity) pairs for a query row."""
 
     @abc.abstractmethod
-    def self_knn(self, k: int, query_rows: np.ndarray | None = None) -> list[list[tuple[int, float]]]:
+    def self_knn(self, k: int, query_rows: np.ndarray | None = None) -> NeighbourLists:
         """Per-database-node top-k lists (self excluded), in id order."""
-
-
-def _ranked_rowwise(ids: np.ndarray, sims: np.ndarray, k: int) -> list[tuple[int, float]]:
-    if ids.size > k:
-        keep = np.argpartition(-sims, k - 1)[:k]
-        ids, sims = ids[keep], sims[keep]
-    order = np.lexsort((ids, -sims))
-    return [(int(ids[t]), float(sims[t])) for t in order]
 
 
 class ExactIndex(AnnIndex):
@@ -108,23 +101,14 @@ class ExactIndex(AnnIndex):
         if exclude:
             keep = ~np.isin(ids, list(exclude))
             ids, sims = ids[keep], sims[keep]
-        return _ranked_rowwise(ids, sims, k)
+        return ranked(ids, sims, k)
 
-    def self_knn(self, k: int, query_rows: np.ndarray | None = None) -> list[list[tuple[int, float]]]:
-        # block size mirrors the exact graph builder so a run seeded from this
+    def self_knn(self, k: int, query_rows: np.ndarray | None = None) -> NeighbourLists:
+        # the exact graph builder's blocked search, so a run seeded from this
         # index reproduces the exact builder's arcs bit for bit
         qr = self.qr if query_rows is None else query_rows
-        n = self.n
-        ids = np.arange(n)
-        out: list[list[tuple[int, float]]] = []
-        for start in range(0, n, 512):
-            stop = min(start + 512, n)
-            sims = qr[start:stop] @ self.db.T
-            for row in range(stop - start):
-                q = start + row
-                cand = ids[ids != q]
-                out.append(_ranked_rowwise(cand, np.delete(sims[row], q), k))
-        return out
+        ids = np.arange(self.n)
+        return block_topk(qr, ids, self.db, ids, ids, k)
 
 
 class ProximityGraphIndex(AnnIndex):
@@ -235,16 +219,10 @@ class ProximityGraphIndex(AnnIndex):
         if self._nbrs is None:
             self._build()
 
-    def self_knn(self, k: int, query_rows: np.ndarray | None = None) -> list[list[tuple[int, float]]]:
+    def self_knn(self, k: int, query_rows: np.ndarray | None = None) -> NeighbourLists:
         self._ensure_built()
         assert self._nbrs is not None and self._nbr_sims is not None
-        out: list[list[tuple[int, float]]] = []
-        for q in range(self.n):
-            ids = self._nbrs[q]
-            sims = self._nbr_sims[q]
-            valid = np.isfinite(sims)
-            out.append(_ranked_rowwise(ids[valid], sims[valid], k))
-        return out
+        return NeighbourLists(*select_rows(-self._nbr_sims, self._nbrs, k))
 
     def query(
         self, row: np.ndarray, k: int, exclude: set[int] | frozenset[int] = frozenset()

@@ -1,19 +1,25 @@
 """Directed k-NN graph over alive solver nodes and its contraction updates.
 
-The graph holds, per alive node, up to ``k`` outgoing arcs with cached
-similarities plus the exact reverse-adjacency index. A max-priority queue
-with lazy stale-entry deletion serves the best-arc queries of the
-contraction loop. After contracting an arc the graph is repaired either by
-exhaustive re-search of every affected node or incrementally: the merged
-node's neighbours are filtered from the union of its parents' neighbour
-lists via an upper bound on similarities to all other nodes, and nodes that
-pointed at a parent get a single cheap membership check instead of a full
-search whenever possible.
+The graph stores every node's outgoing arcs in two padded arrays, ``nbr``
+(target ids, ``-1`` pad) and ``sim`` (cached similarities, ``-inf`` pad),
+one row of ``k`` slots per node id, plus the exact reverse-adjacency index.
+The candidate queue keeps one entry per node, the best arc of its row, and
+the contraction loop takes the argmax over those entries. After contracting
+an arc the graph is repaired either by exhaustive re-search of every
+affected node or incrementally: the merged node's neighbours are filtered
+from the union of its parents' neighbour lists via an upper bound on
+similarities to all other nodes, and the rows of nodes that pointed at a
+parent are repaired as one block, with a single membership check for the
+merged node instead of a full search whenever possible.
+
+Every ranking breaks similarity ties toward the smaller node id, and a
+selection cut to ``k`` first keeps every candidate tied with the k-th
+value, so ties at the cut resolve by id as well.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,15 +32,133 @@ INF = float("inf")
 # Fixed query block size for batched searches. Work is split along block
 # boundaries regardless of thread count so results never depend on it.
 _BLOCK = 512
+# Rows per selection pass within a block; bounds the selection temporaries.
+_SLICE = 64
+# Up to this many candidates a plain sort beats the numpy calls of a
+# partial selection.
+_SMALL = 32
 
 
-def _ranked(ids: np.ndarray, sims: np.ndarray, k: int) -> list[tuple[int, float]]:
+def ranked(ids: np.ndarray, sims: np.ndarray, k: int) -> list[tuple[int, float]]:
     """Top-k of (ids, sims) sorted by descending sim, ties by smaller id."""
+    if ids.size <= _SMALL:
+        arcs = sorted(zip(ids.tolist(), sims.tolist()), key=lambda a: (-a[1], a[0]))
+        return arcs[:k]
     if ids.size > k:
-        keep = np.argpartition(-sims, k - 1)[:k]
+        keep = sims >= -np.partition(-sims, k - 1)[k - 1]
         ids, sims = ids[keep], sims[keep]
-    order = np.lexsort((ids, -sims))
+    order = np.lexsort((ids, -sims))[:k]
     return [(int(ids[t]), float(sims[t])) for t in order]
+
+
+def select_rows(
+    neg: np.ndarray, ids: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k of every row of a block of negated similarities.
+
+    ``neg`` holds ``-sim`` per candidate, ``+inf`` where a candidate is
+    excluded (a similarity of ``-inf`` never ranks); ``ids`` holds the
+    candidate ids, shared by all rows (1-D) or per row (2-D). Returns
+    ``(rows, k)`` ids (``-1`` pad) and similarities (``-inf`` pad) ranked
+    as :func:`ranked` ranks one row. Only rows with more than k candidates
+    at or above the k-th value take a row-wise path.
+    """
+    r, c = neg.shape
+    out_ids = np.full((r, k), -1, dtype=np.int64)
+    out_sims = np.full((r, k), -INF)
+    if c > k:
+        part = np.argpartition(neg, k - 1, axis=1)[:, :k]
+        vals = np.take_along_axis(neg, part, axis=1)
+        kth = vals[:, k - 1]
+        tied = np.flatnonzero(np.count_nonzero(neg <= kth[:, None], axis=1) > k)
+    else:
+        part = np.broadcast_to(np.arange(c), (r, c))
+        vals = neg
+        tied = ()
+    cand = ids[part] if ids.ndim == 1 else np.take_along_axis(ids, part, axis=1)
+    order = np.lexsort((cand, vals), axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    keep = vals < INF
+    out_ids[:, :vals.shape[1]] = np.where(keep, np.take_along_axis(cand, order, axis=1), -1)
+    out_sims[:, :vals.shape[1]] = np.where(keep, -vals, -INF)
+    for row in tied:
+        pos = np.flatnonzero((neg[row] <= kth[row]) & (neg[row] < INF))
+        rid = ids[pos] if ids.ndim == 1 else ids[row, pos]
+        top = np.lexsort((rid, neg[row, pos]))[:k]
+        out_ids[row, :top.size] = rid[top]
+        out_sims[row, :top.size] = -neg[row, pos[top]]
+    return out_ids, out_sims
+
+
+class NeighbourLists(Sequence):
+    """Per-query top-k lists held as padded arrays.
+
+    ``ids`` (``-1`` pad) and ``sims`` (``-inf`` pad) have one row per query,
+    ranked by descending similarity, ties toward the smaller id. Indexing
+    yields one row as a list of ``(id, sim)`` pairs.
+    """
+
+    def __init__(self, ids: np.ndarray, sims: np.ndarray) -> None:
+        self.ids = ids
+        self.sims = sims
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def __getitem__(self, row: int) -> list[tuple[int, float]]:
+        width = int(np.count_nonzero(self.ids[row] >= 0))
+        return list(zip(self.ids[row, :width].tolist(), self.sims[row, :width].tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NeighbourLists):
+            return NotImplemented
+        return np.array_equal(self.ids, other.ids) and np.array_equal(self.sims, other.sims)
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def block_topk(
+    qr: np.ndarray,
+    queries: np.ndarray,
+    db: np.ndarray,
+    ids: np.ndarray,
+    self_pos: np.ndarray,
+    k: int,
+    threads: int = 1,
+) -> NeighbourLists:
+    """Exact top-k of query rows ``qr[queries]`` against database rows ``db``.
+
+    ``ids[c]`` names database row ``c``; ``self_pos[r]`` is the database row
+    query ``r`` must skip, or ``-1``. Similarities come from one matrix
+    product per block of 512 queries and selection runs on row slices of
+    that block, so results depend neither on ``threads`` nor on the slicing.
+    """
+    if k < 1:
+        raise ArgumentError("k must be at least 1")
+    nq = queries.size
+    out_ids = np.empty((nq, k), dtype=np.int64)
+    out_sims = np.empty((nq, k))
+
+    def run_block(start: int) -> None:
+        stop = min(start + _BLOCK, nq)
+        neg = qr[queries[start:stop]] @ db.T
+        np.negative(neg, out=neg)
+        rows = np.flatnonzero(self_pos[start:stop] >= 0)
+        neg[rows, self_pos[start + rows]] = INF
+        for a in range(0, stop - start, _SLICE):
+            b = min(a + _SLICE, stop - start)
+            out_ids[start + a : start + b], out_sims[start + a : start + b] = (
+                select_rows(neg[a:b], ids, k)
+            )
+
+    starts = range(0, nq, _BLOCK)
+    if threads > 1 and nq > _BLOCK:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_block, starts))
+    else:
+        for s in starts:
+            run_block(s)
+    return NeighbourLists(out_ids, out_sims)
 
 
 def topk_exact(
@@ -59,7 +183,7 @@ def topk_exact(
     if cand.size == 0:
         return []
     sims = state.db[cand] @ state.qr[query]
-    return _ranked(cand, sims, k)
+    return ranked(cand, sims, k)
 
 
 def topk_batch(
@@ -67,104 +191,123 @@ def topk_batch(
     queries: np.ndarray,
     k: int,
     threads: int = 1,
-) -> list[list[tuple[int, float]]]:
-    """Exact top-k for many query nodes at once via blocked matrix products."""
+) -> NeighbourLists:
+    """Exact top-k among alive nodes for many query nodes at once.
+
+    A query is never its own neighbour; a query that is not alive is
+    ranked against every alive node.
+    """
     queries = np.asarray(queries, dtype=np.int64)
     alive = state.alive_ids()
-    db_alive = state.db[alive]
-    pos = {int(q): idx for idx, q in enumerate(alive)}
-    results: list[list[tuple[int, float]]] = [[] for _ in range(queries.size)]
-
-    def run_block(start: int) -> None:
-        stop = min(start + _BLOCK, queries.size)
-        block = queries[start:stop]
-        sims = state.qr[block] @ db_alive.T
-        for row, q in enumerate(block):
-            s = sims[row]
-            self_pos = pos.get(int(q))
-            if self_pos is not None:
-                s = s.copy()
-                s[self_pos] = -INF
-                cand, cs = alive[alive != q], np.delete(s, self_pos)
-            else:
-                cand, cs = alive, s
-            results[start + row] = _ranked(cand, cs, k)
-
-    starts = range(0, queries.size, _BLOCK)
-    if threads > 1 and queries.size > _BLOCK:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, starts))
-    else:
-        for s in starts:
-            run_block(s)
-    return results
+    self_pos = np.where(state.alive[queries], np.searchsorted(alive, queries), -1)
+    return block_topk(state.qr, queries, state.db[alive], alive, self_pos, k, threads)
 
 
 class NNGraph:
-    """Directed NN arc set with cached similarities and reverse index.
+    """Directed NN arcs in padded per-node arrays, with a reverse index.
 
-    ``full_list`` records whether a node's current arc list was produced by
-    an exhaustive search; the contraction bound falls back to a +inf
-    sentinel for short lists of other provenance.
+    Row ``u`` of ``nbr`` (target ids, ``-1`` pad) and ``sim`` (cached
+    similarities, ``-inf`` pad) holds u's at most ``k`` outgoing arcs in
+    slot order; removed arcs leave holes that later arcs may fill.
+    ``in_index`` maps a node to the set of nodes that point at it.
+    ``full_list[u]`` records whether u's list was produced by an exhaustive
+    search; the contraction bound falls back to a +inf sentinel for short
+    lists of other provenance. Rows grow on demand past ``capacity``.
     """
 
-    def __init__(self, k: int) -> None:
+    def __init__(self, k: int, capacity: int = 0) -> None:
         if k < 1:
             raise ArgumentError("k must be at least 1")
         self.k = k
-        self.out: dict[int, list[tuple[int, float]]] = {}
+        self.nbr = np.full((capacity, k), -1, dtype=np.int64)
+        self.sim = np.full((capacity, k), -INF)
+        self.full_list = np.zeros(capacity, dtype=bool)
         self.in_index: dict[int, set[int]] = {}
-        self.full_list: dict[int, bool] = {}
-        self.stamp: dict[int, int] = {}
+
+    @property
+    def capacity(self) -> int:
+        return self.nbr.shape[0]
+
+    def _reserve(self, n: int) -> None:
+        cap = self.capacity
+        if n <= cap:
+            return
+        new = max(n, 2 * cap)
+        self.nbr = np.concatenate([self.nbr, np.full((new - cap, self.k), -1, dtype=np.int64)])
+        self.sim = np.concatenate([self.sim, np.full((new - cap, self.k), -INF)])
+        self.full_list = np.concatenate([self.full_list, np.zeros(new - cap, dtype=bool)])
 
     def arcs(self, u: int) -> list[tuple[int, float]]:
-        return self.out.get(u, [])
+        if u >= self.capacity:
+            return []
+        return [(t, s) for t, s in zip(self.nbr[u].tolist(), self.sim[u].tolist()) if t >= 0]
 
     def targets(self, u: int) -> list[int]:
-        return [t for t, _ in self.out.get(u, [])]
+        return [t for t, _ in self.arcs(u)]
 
     def min_sim(self, u: int) -> float:
-        arcs = self.out.get(u)
-        if not arcs:
-            return INF
-        return min(s for _, s in arcs)
+        return min((s for _, s in self.arcs(u)), default=INF)
 
-    def n_arcs(self) -> int:
-        return sum(len(a) for a in self.out.values())
+    def _clear_row(self, u: int) -> list[tuple[int, float]]:
+        """Empty u's row; returns the arcs it held."""
+        arcs = [(t, s) for t, s in zip(self.nbr[u].tolist(), self.sim[u].tolist()) if t >= 0]
+        if arcs:
+            for t, _ in arcs:
+                self.in_index[t].discard(u)
+            self.nbr[u] = -1
+            self.sim[u] = -INF
+        self.full_list[u] = False
+        return arcs
 
-    def set_arcs(
-        self, u: int, arcs: list[tuple[int, float]], *, from_full: bool
+    def set_rows(
+        self, rows: np.ndarray, ids: np.ndarray, sims: np.ndarray, *, from_full: bool
     ) -> None:
-        """Replace u's outgoing arcs wholesale (bumps the validity stamp)."""
-        for t, _ in self.out.get(u, []):
-            self.in_index.get(t, set()).discard(u)
-        self.out[u] = list(arcs)
-        for t, _ in arcs:
-            self.in_index.setdefault(t, set()).add(u)
-        self.full_list[u] = from_full
-        self.stamp[u] = self.stamp.get(u, -1) + 1
+        """Replace the arcs of every node in ``rows`` wholesale.
 
-    def add_arc(self, u: int, v: int, sim: float) -> None:
-        """Append one arc without invalidating u's existing queue entries."""
-        self.out.setdefault(u, []).append((v, sim))
-        self.in_index.setdefault(v, set()).add(u)
+        ``ids`` and ``sims`` are padded ``(len(rows), w)`` arrays, ``w <= k``.
+        """
+        self._reserve(int(rows.max()) + 1 if rows.size else 0)
+        for u in rows[(self.nbr[rows] >= 0).any(axis=1)].tolist():
+            self._clear_row(u)
+        w = ids.shape[1]
+        self.nbr[rows, :w] = ids
+        self.sim[rows, :w] = sims
+        self.full_list[rows] = from_full
+        for u, row in zip(rows.tolist(), ids.tolist()):
+            for t in row:
+                if t >= 0:
+                    self.in_index.setdefault(t, set()).add(u)
+
+    def set_arcs(self, u: int, arcs: list[tuple[int, float]], *, from_full: bool) -> None:
+        """Replace u's outgoing arcs wholesale."""
+        self._reserve(u + 1)
+        self._clear_row(u)
+        if arcs:
+            ids = [t for t, _ in arcs]
+            self.nbr[u, : len(arcs)] = ids
+            self.sim[u, : len(arcs)] = [s for _, s in arcs]
+            for t in ids:
+                self.in_index.setdefault(t, set()).add(u)
+        self.full_list[u] = from_full
 
     def drop_node(self, x: int) -> None:
         """Remove x's outgoing arcs and every arc pointing at x."""
-        for t, _ in self.out.pop(x, []):
-            self.in_index.get(t, set()).discard(x)
-        for src in self.in_index.pop(x, set()):
-            arcs = self.out.get(src)
-            if arcs:
-                self.out[src] = [(t, s) for t, s in arcs if t != x]
-        self.full_list.pop(x, None)
-        self.stamp.pop(x, None)
+        if x < self.capacity:
+            self._clear_row(x)
+        srcs = self.in_index.pop(x, None)
+        if srcs:
+            rows = np.fromiter(srcs, dtype=np.int64, count=len(srcs))
+            r, c = np.nonzero(self.nbr[rows] == x)
+            self.nbr[rows[r], c] = -1
+            self.sim[rows[r], c] = -INF
 
     def validate(self, state: ContractionState, tol: float = 1e-9) -> None:
         """Assert structural invariants (tests only; O(arcs) plus recompute)."""
         transpose: dict[int, set[int]] = {}
-        for u, arcs in self.out.items():
-            assert state.alive[u], f"dead source {u} still has arcs"
+        for u in range(self.capacity):
+            arcs = self.arcs(u)
+            assert not (arcs and not state.alive[u]), f"dead source {u} still has arcs"
+            assert len(arcs) <= self.k, "row longer than k"
             seen = set()
             for t, s in arcs:
                 assert t != u, "self arc"
@@ -182,70 +325,116 @@ class NNGraph:
             assert transpose.get(t, set()) == srcs
 
 
-class CandidateQueue:
-    """Max-priority queue over arcs with per-node validity stamps.
+class ArcBatch:
+    """Arcs written by one graph update, plus every row the update changed.
 
-    Entries are tuples ``(-sim, lo, hi, src, dst, stamp)`` so equal
-    similarities break toward the lexicographically smallest node pair.
-    Stale entries (dead endpoint or reassigned source list) are dropped
-    lazily on pop.
+    ``rows`` names the nodes whose arc lists changed, including nodes that
+    died; iterating yields the written arcs as ``(src, dst, sim)``.
+    """
+
+    __slots__ = ("rows", "_parts")
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+        self._parts: list[tuple] = []
+
+    def add(self, src, dst, sim) -> None:
+        """Record arcs given as arrays or scalars that broadcast to the
+        shape of ``sim``; entries with ``sim == -inf`` are padding."""
+        self._parts.append((src, dst, sim))
+
+    def __len__(self) -> int:
+        return sum(int(np.count_nonzero(np.asarray(sim) > -INF)) for _, _, sim in self._parts)
+
+    def __iter__(self):
+        for part in self._parts:
+            src, dst, sim = np.broadcast_arrays(*part)
+            keep = sim > -INF
+            yield from zip(src[keep].tolist(), dst[keep].tolist(), sim[keep].tolist())
+
+
+class CandidateQueue:
+    """One candidate arc per node: the best arc of its current row.
+
+    ``best_sim[u]`` and ``best_dst[u]`` hold the highest-similarity arc of
+    u's row, ties toward the smaller target id, or ``-inf`` and ``-1`` for
+    an empty row. Each entry is computed from the graph when u's row is
+    pushed; an entry whose endpoint has since died is refreshed lazily by
+    :func:`best_arc`. Its length is the number of nodes with a candidate.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, int, int, int]] = []
+        self.best_sim = np.full(0, -INF)
+        self.best_dst = np.full(0, -1, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return int(np.count_nonzero(self.best_sim > -INF))
 
-    def push(self, graph: NNGraph, u: int, v: int, sim: float) -> None:
-        lo, hi = (u, v) if u < v else (v, u)
-        heapq.heappush(
-            self._heap, (-sim, lo, hi, u, v, graph.stamp.get(u, -1))
-        )
+    def refresh(self, graph: NNGraph, rows, alive: np.ndarray | None = None) -> None:
+        """Recompute the entries of ``rows`` from the graph; when ``alive``
+        is given, only arcs between alive nodes count."""
+        cap = graph.capacity
+        if self.best_sim.size < cap:
+            grow = cap - self.best_sim.size
+            self.best_sim = np.concatenate([self.best_sim, np.full(grow, -INF)])
+            self.best_dst = np.concatenate([self.best_dst, np.full(grow, -1, dtype=np.int64)])
+        nbr = graph.nbr[rows]
+        sim = graph.sim[rows]
+        if alive is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+            sim = np.where(alive[nbr] & (nbr >= 0) & alive[rows, None], sim, -INF)
+        top = sim.max(axis=1)
+        self.best_sim[rows] = top
+        self.best_dst[rows] = np.where(sim == top[:, None], nbr, cap).min(axis=1)
 
-    def push_many(self, graph: NNGraph, arcs) -> None:
-        for u, v, sim in arcs:
-            self.push(graph, u, v, sim)
+    def push_many(self, graph: NNGraph, arcs: ArcBatch) -> None:
+        """Refresh the entries of every row an update changed."""
+        self.refresh(graph, arcs.rows)
 
 
 def best_arc(
     graph: NNGraph, queue: CandidateQueue, state: ContractionState
 ) -> tuple[int, int, float] | None:
-    """Highest-similarity valid arc with similarity >= 0, or ``None``.
+    """Highest-similarity arc with similarity >= 0, or ``None``.
 
-    Pops stale entries; the winning pair is returned as (min id, max id).
+    Takes the argmax of the per-node entries over every node id allocated
+    so far; equal similarities break toward the smallest (min id, max id)
+    pair. Entries with a dead endpoint are refreshed and the selection
+    repeats. The winning pair is returned as (min id, max id).
     """
-    heap = queue._heap
-    while heap:
-        entry = heapq.heappop(heap)
-        negsim, lo, hi, u, v, stamp = entry
-        if not (state.alive[u] and state.alive[v]):
-            continue
-        if graph.stamp.get(u, -1) != stamp:
-            continue
-        if -negsim < 0.0:
-            heapq.heappush(heap, entry)
+    alive = state.alive
+    n = state.n0 + state.forest.n_merges
+    while True:
+        sims = queue.best_sim[:n]
+        dsts = queue.best_dst
+        u = int(np.argmax(sims)) if sims.size else 0
+        if not sims.size or sims[u] == -INF:
             return None
-        return lo, hi, -negsim
-    return None
+        top = float(sims[u])
+        tied = np.flatnonzero(sims == top) if sims[u + 1 :].max(initial=-INF) == top else [u]
+        stale = [w for w in tied if not (alive[w] and alive[dsts[w]])]
+        if stale:
+            queue.refresh(graph, stale, alive)
+            continue
+        if top < 0.0:
+            return None
+        lo, hi = min((min(w, int(dsts[w])), max(w, int(dsts[w]))) for w in tied)
+        return int(lo), int(hi), top
 
 
 def build_nn_graph(
     state: ContractionState, k: int, threads: int = 1
 ) -> tuple[NNGraph, CandidateQueue]:
     """Exact NN graph over all alive nodes plus a fully populated queue."""
-    graph = NNGraph(k)
+    graph = NNGraph(k, capacity=state.db.shape[0])
     queue = CandidateQueue()
     alive = state.alive_ids()
-    if alive.size < 2:
-        for u in alive:
-            graph.set_arcs(int(u), [], from_full=True)
-        return graph, queue
-    per_node = topk_batch(state, alive, k, threads=threads)
-    for q, arcs in zip(alive, per_node):
-        graph.set_arcs(int(q), arcs, from_full=True)
-        for t, s in arcs:
-            queue.push(graph, int(q), t, s)
+    if alive.size >= 2:
+        lists = topk_batch(state, alive, k, threads=threads)
+        graph.set_rows(alive, lists.ids, lists.sims, from_full=True)
+    else:
+        graph.full_list[alive] = True
+    queue.refresh(graph, alive)
     return graph, queue
 
 
@@ -257,12 +446,15 @@ def contraction_bound(graph: NNGraph, i: int, j: int) -> float:
     are shorter than k and were not produced by exhaustive search cannot
     certify the bound, so the +inf sentinel is returned.
     """
+    return _bound(
+        graph.k, *((graph.arcs(u), u < graph.capacity and graph.full_list[u]) for u in (i, j))
+    )
+
+
+def _bound(k: int, *rows: tuple[list[tuple[int, float]], bool]) -> float:
     total = 0.0
-    for u in (i, j):
-        arcs = graph.arcs(u)
-        if not arcs:
-            return INF
-        if len(arcs) < graph.k and not graph.full_list.get(u, False):
+    for arcs, from_full in rows:
+        if not arcs or (len(arcs) < k and not from_full):
             return INF
         total += min(s for _, s in arcs)
     return total
@@ -276,7 +468,7 @@ def incremental_update(
     m: int,
     *,
     lazy: bool,
-) -> tuple[list[tuple[int, int, float]], int]:
+) -> tuple[ArcBatch, int]:
     """Repair the NN graph after contracting (i, j) into ``m``.
 
     The merged node's arcs come from its parents' combined neighbour lists
@@ -284,53 +476,67 @@ def incremental_update(
     exhaustive search unless ``lazy``. Nodes that listed i or j keep their
     surviving arcs and receive an arc to ``m`` when it provably belongs in
     their list; otherwise they are re-searched (or, when ``lazy``, left
-    with whatever survived). Returns (new arcs to enqueue, number of
+    with whatever survived). Returns (the arcs written, number of
     exhaustive searches performed).
     """
     state.check_alive(m)
-    nin = (graph.in_index.get(i, set()) | graph.in_index.get(j, set())) - {i, j}
-    union_targets = {t for t, _ in graph.arcs(i)} | {t for t, _ in graph.arcs(j)}
-    bound = contraction_bound(graph, i, j)
-    graph.drop_node(i)
-    graph.drop_node(j)
+    full = (bool(graph.full_list[i]), bool(graph.full_list[j]))
+    arcs_i, arcs_j = graph._clear_row(i), graph._clear_row(j)
+    nin = (graph.in_index.pop(i, set()) | graph.in_index.pop(j, set())) - {i, j}
+    bound = _bound(graph.k, (arcs_i, full[0]), (arcs_j, full[1]))
+    union_targets = {t for t, _ in arcs_i} | {t for t, _ in arcs_j}
 
-    new_arcs: list[tuple[int, int, float]] = []
+    in_nbrs = sorted(nin)
+    q_ids = np.array(in_nbrs, dtype=np.int64)
+    batch = ArcBatch(np.array([i, j, m, *in_nbrs], dtype=np.int64))
     searches = 0
 
     cand = np.array(sorted(t for t in union_targets if state.alive[t]), dtype=np.int64)
     merged_arcs: list[tuple[int, float]] = []
     if cand.size:
         sims = state.sims_to(m, cand)
-        passing = cand[sims >= bound]
-        if passing.size:
-            merged_arcs = _ranked(passing, sims[sims >= bound], graph.k)
+        passing = sims >= bound
+        if passing.any():
+            merged_arcs = ranked(cand[passing], sims[passing], graph.k)
     if not merged_arcs and not lazy:
         merged_arcs = topk_exact(state, m, graph.k)
         searches += 1
         graph.set_arcs(m, merged_arcs, from_full=True)
     else:
         graph.set_arcs(m, merged_arcs, from_full=False)
-    new_arcs.extend((m, t, s) for t, s in merged_arcs)
+    batch.add(m, [t for t, _ in merged_arcs], [s for _, s in merged_arcs])
 
-    pending: list[int] = []
-    if nin:
-        q_ids = np.array(sorted(nin), dtype=np.int64)
-        sims_qm = state.db[m] @ state.qr[q_ids].T if q_ids.size else np.zeros(0)
-        for q, s_qm in zip(q_ids, sims_qm):
-            q = int(q)
-            surviving = graph.arcs(q)
-            if surviving and s_qm >= min(s for _, s in surviving):
-                graph.add_arc(q, m, float(s_qm))
-                new_arcs.append((q, m, float(s_qm)))
-            elif not lazy:
-                pending.append(q)
-    if pending:
-        per_node = topk_batch(state, np.array(pending, dtype=np.int64), graph.k)
-        searches += len(pending)
-        for q, arcs in zip(pending, per_node):
-            graph.set_arcs(q, arcs, from_full=True)
-            new_arcs.extend((q, t, s) for t, s in arcs)
-    return new_arcs, searches
+    if q_ids.size:
+        # the in-neighbour rows as one block: drop the arcs to i and j, then
+        # give each row an arc to m where m is at least as similar as its
+        # weakest surviving arc; a row lost an arc, so a slot is free
+        nbr = graph.nbr[q_ids]
+        sim = graph.sim[q_ids]
+        gone = (nbr == i) | (nbr == j)
+        nbr[gone] = -1
+        sim[gone] = -INF
+        live = nbr >= 0
+        weakest = np.where(live, sim, INF).min(axis=1)
+        sims_qm = state.db[m] @ state.qr[q_ids].T
+        passes = sims_qm >= weakest
+        add = passes.nonzero()[0]
+        if add.size:
+            slot = live[add].argmin(axis=1)
+            nbr[add, slot] = m
+            sim[add, slot] = sims_qm[add]
+            q_add = q_ids[add]
+            graph.in_index.setdefault(m, set()).update(q_add.tolist())
+            batch.add(q_add, m, sim[add, slot])
+        graph.nbr[q_ids] = nbr
+        graph.sim[q_ids] = sim
+        if not lazy:
+            pending = q_ids[~passes]
+            if pending.size:
+                lists = topk_batch(state, pending, graph.k)
+                searches += pending.size
+                graph.set_rows(pending, lists.ids, lists.sims, from_full=True)
+                batch.add(pending[:, None], lists.ids, lists.sims)
+    return batch, searches
 
 
 def exhaustive_update(
@@ -340,7 +546,7 @@ def exhaustive_update(
     j: int,
     m: int,
     threads: int = 1,
-) -> tuple[list[tuple[int, int, float]], int]:
+) -> tuple[ArcBatch, int]:
     """Post-contraction repair by exhaustive re-search of the merged node
     and of every node that listed i or j."""
     state.check_alive(m)
@@ -348,9 +554,8 @@ def exhaustive_update(
     graph.drop_node(i)
     graph.drop_node(j)
     queries = np.array([m] + sorted(nin), dtype=np.int64)
-    per_node = topk_batch(state, queries, graph.k, threads=threads)
-    new_arcs: list[tuple[int, int, float]] = []
-    for q, arcs in zip(queries, per_node):
-        graph.set_arcs(int(q), arcs, from_full=True)
-        new_arcs.extend((int(q), t, s) for t, s in arcs)
-    return new_arcs, len(queries)
+    lists = topk_batch(state, queries, graph.k, threads=threads)
+    graph.set_rows(queries, lists.ids, lists.sims, from_full=True)
+    batch = ArcBatch(np.concatenate([np.array([i, j], dtype=np.int64), queries]))
+    batch.add(queries[:, None], lists.ids, lists.sims)
+    return batch, len(queries)

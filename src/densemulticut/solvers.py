@@ -1,6 +1,6 @@
 """Greedy and lazy contraction solvers for the dense multicut problem.
 
-All solvers share the same loop: pop the best arc from the NN graph,
+All solvers share the same loop: take the best arc of the NN graph,
 contract it, repair the graph, repeat while the best similarity is
 nonnegative. They differ in how the graph is repaired (exhaustive
 re-search, incremental update, or lazy survival) and in how the initial
@@ -169,13 +169,12 @@ def _initial_graph_from_index(
     state: ContractionState, k: int, index: AnnIndex
 ) -> tuple[NNGraph, CandidateQueue]:
     n = state.n0
-    graph = NNGraph(k)
+    graph = NNGraph(k, capacity=state.db.shape[0])
     queue = CandidateQueue()
-    per_node = index.self_knn(k, query_rows=state.qr[:n])
-    for q, arcs in enumerate(per_node):
-        graph.set_arcs(q, arcs, from_full=index.exact)
-        for t, s in arcs:
-            queue.push(graph, q, t, s)
+    lists = index.self_knn(k, query_rows=state.qr[:n])
+    rows = np.arange(n)
+    graph.set_rows(rows, lists.ids, lists.sims, from_full=index.exact)
+    queue.refresh(graph, rows)
     return graph, queue
 
 
