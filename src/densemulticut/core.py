@@ -6,6 +6,12 @@ from the plain inner product. Contracting two nodes is realised by summing
 their feature rows (and affinity scalars), which reproduces the classical
 additive cost update on the complete graph.
 
+The same factorisation makes the objective cheap: the cost of every pair
+cut by a partition is ``1/2 * sum_c Q_c . (D - D_c)``, where ``Q_c`` and
+``D_c`` are the summed query and database rows of cluster ``c`` and ``D``
+the sum of all database rows, so scoring a partition takes O(n*d) rather
+than O(n^2*d).
+
 Features are stored in 32-bit precision; all similarity arithmetic is
 accumulated in 64-bit.
 """
@@ -202,25 +208,17 @@ class ContractionForest:
         self.n_merges += 1
         return m
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return int(root)
-
     def labels(self) -> np.ndarray:
         """Cluster ids for the original nodes, contiguous from 0 in
         first-occurrence order."""
-        out = np.empty(self.n0, dtype=np.int64)
-        mapping: dict[int, int] = {}
-        for i in range(self.n0):
-            root = self.find(i)
-            if root not in mapping:
-                mapping[root] = len(mapping)
-            out[i] = mapping[root]
-        return out
+        # pointer jumping: each pass doubles the distance every link spans
+        root = self.parent
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        return canonical_labels(root[: self.n0])
 
 
 @dataclass(frozen=True)
@@ -246,10 +244,10 @@ class Partition:
 
 def canonical_labels(labels: np.ndarray) -> np.ndarray:
     """Relabel clusters contiguously from 0 in first-occurrence order."""
-    labels = np.asarray(labels)
-    _, first = np.unique(labels, return_index=True)
-    order = {int(labels[idx]): rank for rank, idx in enumerate(np.sort(first))}
-    return np.array([order[int(x)] for x in labels], dtype=np.int64)
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
 
 
 def _extended_rows(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -358,15 +356,17 @@ class ContractionState:
         return m
 
 
-def _dense_pair_sims_block(rows: np.ndarray, qr: np.ndarray, db: np.ndarray) -> np.ndarray:
-    return qr[rows] @ db.T
-
-
 def objective(instance: FeatureMatrix | SparseWeightedGraph, labels: np.ndarray) -> float:
     """Sum of edge costs over cut edges, each unordered pair counted once.
 
     For a dense instance the sum runs over all pairs ``i < j`` of the
-    implicit complete graph.
+    implicit complete graph, in O(n*d) from per-cluster sums: with ``Q_c``
+    and ``D_c`` the summed query and database rows of cluster ``c`` and
+    ``D`` the sum of all database rows, the cut cost is
+    ``1/2 * sum_c Q_c . (D - D_c)``. It is evaluated as the feature part
+    ``X_c . (X - X_c)`` plus ``factor * A_c * (A - A_c)`` for the affinity
+    column. Labels need not be contiguous; a single cluster gives exactly
+    0.0.
     """
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     if isinstance(instance, SparseWeightedGraph):
@@ -379,14 +379,16 @@ def objective(instance: FeatureMatrix | SparseWeightedGraph, labels: np.ndarray)
     fm = instance
     if labels.shape != (fm.n,):
         raise ArgumentError("labels length does not match node count")
-    qr, db = _extended_rows(fm)
-    total = 0.0
-    block = 1024
-    for start in range(0, fm.n, block):
-        rows = np.arange(start, min(start + block, fm.n))
-        sims = _dense_pair_sims_block(rows, qr, db)
-        cut = labels[rows][:, None] != labels[None, :]
-        total += float(sims[cut].sum())
+    order = np.argsort(labels, kind="stable")
+    grouped = labels[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    # one row per feature, so every cluster sum runs along contiguous memory
+    rows = fm.data[order].T.astype(np.float64, order="C")
+    x_c = np.add.reduceat(rows, starts, axis=1)
+    total = float(np.einsum("ij,ij->", x_c, x_c.sum(axis=1, keepdims=True) - x_c))
+    if fm.alpha_sign is not AlphaSign.OFF and fm.alpha is not None:
+        a_c = np.add.reduceat(fm.alpha[order].astype(np.float64), starts)
+        total += fm.alpha_sign.factor * float(a_c @ (a_c.sum() - a_c))
     return total / 2.0
 
 

@@ -508,8 +508,10 @@ def incremental_update(
 
     if q_ids.size:
         # the in-neighbour rows as one block: drop the arcs to i and j, then
-        # give each row an arc to m where m is at least as similar as its
-        # weakest surviving arc; a row lost an arc, so a slot is free
+        # give each row an arc to m where m is more similar than its weakest
+        # surviving arc; a row lost an arc, so a slot is free. The test is
+        # strict because m has the largest id, so an unlisted node tied with
+        # the weakest arc outranks it
         nbr = graph.nbr[q_ids]
         sim = graph.sim[q_ids]
         gone = (nbr == i) | (nbr == j)
@@ -518,7 +520,7 @@ def incremental_update(
         live = nbr >= 0
         weakest = np.where(live, sim, INF).min(axis=1)
         sims_qm = state.db[m] @ state.qr[q_ids].T
-        passes = sims_qm >= weakest
+        passes = sims_qm > weakest
         add = passes.nonzero()[0]
         if add.size:
             slot = live[add].argmin(axis=1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densemulticut.core import (
     AlphaSign,
@@ -8,6 +10,7 @@ from densemulticut.core import (
     FeatureMatrix,
     Partition,
     SparseWeightedGraph,
+    canonical_labels,
     enumerate_optimal,
     materialize_cost_matrix,
     objective,
@@ -211,6 +214,54 @@ class TestObjective:
             a = objective(fm, labels)
             b = objective(g, labels)
             assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def degenerate_instance(draw):
+    """Small integer-valued rows at one scale, with duplicate and zero rows
+    common, an affinity sign and arbitrary (non-contiguous) labels."""
+    n = draw(st.integers(1, 9))
+    d = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 1e-3, 0.37, 1e4]))
+    pool = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+            min_size=1,
+            max_size=n,
+        )
+    )
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    rows = np.array([pool[p] for p in picks], dtype=np.float64) * scale
+    sign = draw(st.sampled_from([AlphaSign.PLUS, AlphaSign.MINUS, AlphaSign.OFF]))
+    alpha = draw(st.sampled_from([0.0, 0.5, 3.0])) * scale
+    labels = draw(st.lists(st.integers(-5, 40), min_size=n, max_size=n))
+    return fm_from(rows, alpha=alpha, sign=sign), np.array(labels)
+
+
+class TestObjectiveDegenerate:
+    @settings(max_examples=200, deadline=None)
+    @given(case=degenerate_instance())
+    def test_matches_brute_force(self, case):
+        fm, labels = case
+        abs_total = sum(
+            abs(similarity(fm, i, j)) for i in range(fm.n) for j in range(i + 1, fm.n)
+        )
+        got = objective(fm, labels)
+        assert abs(got - brute_objective(fm, labels)) <= 1e-9 * max(1.0, abs_total)
+        assert objective(fm, canonical_labels(labels)) == pytest.approx(
+            got, rel=1e-12, abs=1e-12 * max(1.0, abs_total)
+        )
+        assert objective(fm, np.full(fm.n, labels[0])) == 0.0
+
+    def test_single_cluster_is_exactly_zero(self):
+        fm = make_instance(50, 7, seed=3, alpha=0.4, sign=AlphaSign.MINUS, scale=1e3)
+        assert objective(fm, np.zeros(50, dtype=np.int64)) == 0.0
+        assert objective(fm, np.full(50, 9)) == 0.0
+
+    def test_non_contiguous_labels(self):
+        fm = fm_from([[1, 0.5], [1, 0], [0.25, 1]], alpha=0.4, sign=AlphaSign.MINUS)
+        assert objective(fm, [5, 5, 2]) == objective(fm, [0, 0, 1])
+        assert objective(fm, [7, -1, 7]) == pytest.approx(objective(fm, [0, 1, 0]))
 
 
 class TestMaterialize:

@@ -134,7 +134,8 @@ class TestTieContract:
     def test_dense_greedy_reproduces_gaec_under_ties(self, rows, sign):
         fm = FeatureMatrix(np.array(rows, dtype=np.float32))
         trace = {}
-        for algo in ("gaec", "dgaec"):
+        for algo in ("gaec", "dgaec", "dgaec-inc"):
             cfg = SolverConfig(algorithm=algo, alpha=0.5, alpha_sign=sign)
             trace[algo] = [(s.i, s.j, s.m, s.similarity) for s in solve(fm, cfg).trace]
         assert trace["dgaec"] == trace["gaec"]
+        assert trace["dgaec-inc"] == trace["gaec"]

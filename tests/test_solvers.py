@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densemulticut.ann import ExactIndex
 from densemulticut.core import (
@@ -219,6 +221,30 @@ class TestSolverProperties:
             opt = objective(eff, part.labels)
             got = objective(eff, res.labels)
             assert got >= opt
+
+    @pytest.mark.parametrize(
+        "alg", ["gaec", "dgaec", "dgaec-inc", "dlaec", "dapplaec"]
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rows=st.integers(1, 9).flatmap(
+            lambda n: st.integers(1, 3).flatmap(
+                lambda d: st.lists(
+                    st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                    min_size=n,
+                    max_size=n,
+                )
+            )
+        ),
+        sign=st.sampled_from([AlphaSign.PLUS, AlphaSign.MINUS, AlphaSign.OFF]),
+    )
+    def test_never_beats_exhaustive_oracle_under_ties(self, alg, rows, sign):
+        # integer features and alpha 0.5 keep every similarity and every
+        # objective exact in float64, so the comparison needs no tolerance
+        fm = FeatureMatrix(np.array(rows, dtype=np.float32))
+        res = solve(fm, SolverConfig(algorithm=alg, alpha=0.5, alpha_sign=sign))
+        _, opt = enumerate_optimal(fm.with_affinity(0.5, sign))
+        assert res.partition.objective >= opt
 
     def test_termination_bound(self):
         fm, sign = clustered_instance(8)
