@@ -12,13 +12,7 @@ from .core import (
     objective,
     similarity,
 )
-from .errors import (
-    ArgumentError,
-    CapacityError,
-    DataError,
-    FormatError,
-    StateError,
-)
+from .errors import ArgumentError, CapacityError, StateError
 
 __version__ = "0.1.0"
 
@@ -28,9 +22,7 @@ __all__ = [
     "CapacityError",
     "ContractionForest",
     "ContractionState",
-    "DataError",
     "FeatureMatrix",
-    "FormatError",
     "Partition",
     "SparseWeightedGraph",
     "StateError",

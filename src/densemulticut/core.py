@@ -329,20 +329,6 @@ class ContractionState:
         """Similarities from query node ``q`` to each node in ``ids``."""
         return self.db[ids] @ self.qr[q]
 
-    def aggregate(self, i: int, j: int) -> tuple[np.ndarray, float]:
-        """Merged feature row and affinity scalar for contracting (i, j).
-
-        Does not register the merge; see :meth:`contract`.
-        """
-        if i == j:
-            raise ArgumentError("cannot aggregate a node with itself")
-        self.check_alive(i)
-        self.check_alive(j)
-        if self.sign is AlphaSign.OFF:
-            return self.db[i] + self.db[j], 0.0
-        row = self.db[i] + self.db[j]
-        return row[:-1], float(row[-1])
-
     def contract(self, i: int, j: int) -> int:
         """Contract nodes ``i`` and ``j``; returns the fresh merged id."""
         if i == j:

@@ -1,8 +1,4 @@
-"""Exception types shared across the package.
-
-The CLI maps these onto exit codes: argument/capacity problems exit with 2,
-format/data problems with 3.
-"""
+"""Exception types shared across the package."""
 
 
 class ArgumentError(ValueError):
@@ -16,10 +12,3 @@ class CapacityError(RuntimeError):
 class StateError(RuntimeError):
     """Operation on a node that is no longer alive, or similar misuse."""
 
-
-class FormatError(ValueError):
-    """A file could not be parsed as the declared format."""
-
-
-class DataError(ValueError):
-    """A file parsed but its payload violates a data requirement."""

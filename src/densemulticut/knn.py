@@ -20,7 +20,6 @@ value, so ties at the cut resolve by id as well.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,8 +28,7 @@ from .errors import ArgumentError
 
 INF = float("inf")
 
-# Fixed query block size for batched searches. Work is split along block
-# boundaries regardless of thread count so results never depend on it.
+# Query rows per matrix product of a batched search.
 _BLOCK = 512
 # Rows per selection pass within a block; bounds the selection temporaries.
 _SLICE = 64
@@ -124,22 +122,20 @@ def block_topk(
     ids: np.ndarray,
     self_pos: np.ndarray,
     k: int,
-    threads: int = 1,
 ) -> NeighbourLists:
     """Exact top-k of query rows ``qr[queries]`` against database rows ``db``.
 
     ``ids[c]`` names database row ``c``; ``self_pos[r]`` is the database row
     query ``r`` must skip, or ``-1``. Similarities come from one matrix
     product per block of 512 queries and selection runs on row slices of
-    that block, so results depend neither on ``threads`` nor on the slicing.
+    that block, so results do not depend on the slicing.
     """
     if k < 1:
         raise ArgumentError("k must be at least 1")
     nq = queries.size
     out_ids = np.empty((nq, k), dtype=np.int64)
     out_sims = np.empty((nq, k))
-
-    def run_block(start: int) -> None:
+    for start in range(0, nq, _BLOCK):
         stop = min(start + _BLOCK, nq)
         neg = qr[queries[start:stop]] @ db.T
         np.negative(neg, out=neg)
@@ -150,23 +146,13 @@ def block_topk(
             out_ids[start + a : start + b], out_sims[start + a : start + b] = (
                 select_rows(neg[a:b], ids, k)
             )
-
-    starts = range(0, nq, _BLOCK)
-    if threads > 1 and nq > _BLOCK:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, starts))
-    else:
-        for s in starts:
-            run_block(s)
+        # free this block before the next product allocates its own, so at
+        # most one block of similarities is alive
+        del neg
     return NeighbourLists(out_ids, out_sims)
 
 
-def topk_exact(
-    state: ContractionState,
-    query: int,
-    k: int,
-    exclude: frozenset[int] | set[int] = frozenset(),
-) -> list[tuple[int, float]]:
+def topk_exact(state: ContractionState, query: int, k: int) -> list[tuple[int, float]]:
     """The k alive nodes most similar to ``query``, descending.
 
     Returns fewer than ``k`` entries when fewer candidates exist. Ties break
@@ -176,22 +162,14 @@ def topk_exact(
         raise ArgumentError("k must be at least 1")
     state.check_alive(query)
     alive = state.alive_ids()
-    keep = alive != query
-    if exclude:
-        keep &= ~np.isin(alive, list(exclude))
-    cand = alive[keep]
+    cand = alive[alive != query]
     if cand.size == 0:
         return []
     sims = state.db[cand] @ state.qr[query]
     return ranked(cand, sims, k)
 
 
-def topk_batch(
-    state: ContractionState,
-    queries: np.ndarray,
-    k: int,
-    threads: int = 1,
-) -> NeighbourLists:
+def topk_batch(state: ContractionState, queries: np.ndarray, k: int) -> NeighbourLists:
     """Exact top-k among alive nodes for many query nodes at once.
 
     A query is never its own neighbour; a query that is not alive is
@@ -200,7 +178,7 @@ def topk_batch(
     queries = np.asarray(queries, dtype=np.int64)
     alive = state.alive_ids()
     self_pos = np.where(state.alive[queries], np.searchsorted(alive, queries), -1)
-    return block_topk(state.qr, queries, state.db[alive], alive, self_pos, k, threads)
+    return block_topk(state.qr, queries, state.db[alive], alive, self_pos, k)
 
 
 class NNGraph:
@@ -422,15 +400,13 @@ def best_arc(
         return int(lo), int(hi), top
 
 
-def build_nn_graph(
-    state: ContractionState, k: int, threads: int = 1
-) -> tuple[NNGraph, CandidateQueue]:
+def build_nn_graph(state: ContractionState, k: int) -> tuple[NNGraph, CandidateQueue]:
     """Exact NN graph over all alive nodes plus a fully populated queue."""
     graph = NNGraph(k, capacity=state.db.shape[0])
     queue = CandidateQueue()
     alive = state.alive_ids()
     if alive.size >= 2:
-        lists = topk_batch(state, alive, k, threads=threads)
+        lists = topk_batch(state, alive, k)
         graph.set_rows(alive, lists.ids, lists.sims, from_full=True)
     else:
         graph.full_list[alive] = True
@@ -547,7 +523,6 @@ def exhaustive_update(
     i: int,
     j: int,
     m: int,
-    threads: int = 1,
 ) -> tuple[ArcBatch, int]:
     """Post-contraction repair by exhaustive re-search of the merged node
     and of every node that listed i or j."""
@@ -556,7 +531,7 @@ def exhaustive_update(
     graph.drop_node(i)
     graph.drop_node(j)
     queries = np.array([m] + sorted(nin), dtype=np.int64)
-    lists = topk_batch(state, queries, graph.k, threads=threads)
+    lists = topk_batch(state, queries, graph.k)
     graph.set_rows(queries, lists.ids, lists.sims, from_full=True)
     batch = ArcBatch(np.concatenate([np.array([i, j], dtype=np.int64), queries]))
     batch.add(queries[:, None], lists.ids, lists.sims)

@@ -62,15 +62,12 @@ class SolverConfig:
     alpha_sign: AlphaSign = AlphaSign.MINUS
     ann_params: AnnParams = field(default_factory=AnnParams)
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ArgumentError(f"unknown algorithm {self.algorithm!r}")
         if self.k is not None and self.k < 1:
             raise ArgumentError("k must be at least 1")
-        if self.threads < 1:
-            raise ArgumentError("threads must be at least 1")
         object.__setattr__(self, "alpha_sign", AlphaSign.parse(self.alpha_sign))
 
     @property
@@ -92,6 +89,27 @@ class SolveResult:
 
 
 StepCallback = Callable[[ContractionState, int, int, float], None]
+
+
+def _result(
+    part: Partition, trace: list[MergeStep], t_start: float, **counters: float | int
+) -> SolveResult:
+    """Wrap a solve's outcome with its stats record.
+
+    Every algorithm returns the same six keys: wall time, contractions,
+    exhaustive and in-loop searches, initial-graph time and rebuilds;
+    counters not given are zero.
+    """
+    stats: dict[str, float | int] = {
+        "wall_ms": (time.perf_counter() - t_start) * 1e3,
+        "n_contractions": len(trace),
+        "n_exhaustive_searches": 0,
+        "loop_searches": 0,
+        "init_ms": 0.0,
+        "rebuilds": 0,
+    }
+    stats.update(counters)
+    return SolveResult(part, trace, stats)
 
 
 def gaec(graph: SparseWeightedGraph) -> SolveResult:
@@ -141,28 +159,7 @@ def gaec(graph: SparseWeightedGraph) -> SolveResult:
     labels = forest.labels()
     obj = objective(graph, labels)
     part = Partition(labels, int(labels.max()) + 1, obj)
-    stats = {
-        "wall_ms": (time.perf_counter() - t_start) * 1e3,
-        "n_contractions": len(trace),
-        "n_exhaustive_searches": 0,
-        "loop_searches": 0,
-        "init_ms": 0.0,
-        "rebuilds": 0,
-    }
-    return SolveResult(part, trace, stats)
-
-
-def _trivial_result(fm: FeatureMatrix, t_start: float) -> SolveResult:
-    part = Partition(np.zeros(1, dtype=np.int64), 1, 0.0)
-    stats = {
-        "wall_ms": (time.perf_counter() - t_start) * 1e3,
-        "n_contractions": 0,
-        "n_exhaustive_searches": 0,
-        "loop_searches": 0,
-        "init_ms": 0.0,
-        "rebuilds": 0,
-    }
-    return SolveResult(part, [], stats)
+    return _result(part, trace, t_start)
 
 
 def _initial_graph_from_index(
@@ -171,7 +168,7 @@ def _initial_graph_from_index(
     n = state.n0
     graph = NNGraph(k, capacity=state.db.shape[0])
     queue = CandidateQueue()
-    lists = index.self_knn(k, query_rows=state.qr[:n])
+    lists = index.self_knn(k)
     rows = np.arange(n)
     graph.set_rows(rows, lists.ids, lists.sims, from_full=index.exact)
     queue.refresh(graph, rows)
@@ -188,7 +185,7 @@ def _dense_solve(
     t_start = time.perf_counter()
     fm_eff = fm.with_affinity(cfg.alpha, cfg.alpha_sign)
     if fm_eff.n == 1:
-        return _trivial_result(fm_eff, t_start)
+        return _result(Partition(np.zeros(1, dtype=np.int64), 1, 0.0), [], t_start)
     lazy = mode in ("lazy", "approx-lazy")
     k = cfg.resolved_k
     state = ContractionState(fm_eff)
@@ -210,7 +207,7 @@ def _dense_solve(
         if index.exact:
             stats["n_exhaustive_searches"] += state.n0
     else:
-        graph, queue = build_nn_graph(state, k, threads=cfg.threads)
+        graph, queue = build_nn_graph(state, k)
         stats["n_exhaustive_searches"] += state.n0
     stats["init_ms"] = (time.perf_counter() - t_init) * 1e3
 
@@ -220,7 +217,7 @@ def _dense_solve(
         if arc is None:
             if not lazy:
                 break
-            graph, queue = build_nn_graph(state, k, threads=cfg.threads)
+            graph, queue = build_nn_graph(state, k)
             stats["rebuilds"] += 1
             stats["n_exhaustive_searches"] += state.n_alive
             arc = best_arc(graph, queue, state)
@@ -232,9 +229,7 @@ def _dense_solve(
         m = state.contract(i, j)
         trace.append(MergeStep(i, j, m, sim))
         if mode == "exhaustive":
-            new_arcs, searches = exhaustive_update(
-                graph, state, i, j, m, threads=cfg.threads
-            )
+            new_arcs, searches = exhaustive_update(graph, state, i, j, m)
         else:
             new_arcs, searches = incremental_update(
                 graph, state, i, j, m, lazy=lazy
@@ -246,9 +241,7 @@ def _dense_solve(
     labels = state.forest.labels()
     obj = objective(fm_eff, labels)
     part = Partition(labels, int(labels.max()) + 1, obj)
-    stats["n_contractions"] = len(trace)
-    stats["wall_ms"] = (time.perf_counter() - t_start) * 1e3
-    return SolveResult(part, trace, stats)
+    return _result(part, trace, t_start, **stats)
 
 
 def dense_gaec(

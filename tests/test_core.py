@@ -123,15 +123,14 @@ class TestAggregate:
     def test_componentwise_addition(self):
         fm = fm_from([[1, 2], [3, -1], [0, 0]])
         state = ContractionState(fm)
-        row, alpha = state.aggregate(0, 1)
-        assert np.array_equal(row, [4.0, 1.0])
-        assert alpha == 0.0
+        m = state.contract(0, 1)
+        assert np.array_equal(state.db[m], [4.0, 1.0])
 
     def test_alpha_addition(self):
         fm = fm_from([[1, 2], [3, -1]], alpha=0.4, sign=AlphaSign.MINUS)
         state = ContractionState(fm)
-        _, alpha = state.aggregate(0, 1)
-        assert alpha == pytest.approx(0.8, abs=1e-7)
+        m = state.contract(0, 1)
+        assert state.db[m, -1] == pytest.approx(0.8, abs=1e-7)
 
     def test_merged_similarity_is_additive_exact_integers(self):
         # integer-valued features: the additivity identity holds exactly
@@ -147,7 +146,7 @@ class TestAggregate:
         state = ContractionState(fm)
         state.contract(0, 1)
         with pytest.raises(StateError):
-            state.aggregate(0, 2)
+            state.contract(0, 2)
 
     @pytest.mark.parametrize("sign", [AlphaSign.OFF, AlphaSign.PLUS, AlphaSign.MINUS])
     def test_merged_similarity_additivity_random(self, sign):

@@ -14,6 +14,7 @@ from densemulticut.core import (
 )
 from densemulticut.errors import ArgumentError
 from densemulticut.solvers import (
+    ALGORITHMS,
     SolverConfig,
     dense_app_laec,
     dense_gaec,
@@ -253,13 +254,6 @@ class TestSolverProperties:
             assert len(res.trace) <= fm.n - 1
             assert res.stats["n_contractions"] == len(res.trace)
 
-    def test_thread_count_does_not_change_labels(self):
-        fm, sign = clustered_instance(10, n_range=(150, 201))
-        a = dense_gaec_inc(fm, cfg_for("dgaec-inc", sign, threads=1))
-        b = dense_gaec_inc(fm, cfg_for("dgaec-inc", sign, threads=4))
-        assert np.array_equal(a.labels, b.labels)
-        assert pair_trace(a) == pair_trace(b)
-
     def test_cluster_count_non_decreasing_in_alpha(self):
         for trial in range(4):
             fm, _ = clustered_instance(trial, n_range=(60, 150))
@@ -289,6 +283,27 @@ class TestSolveDispatch:
     def test_unknown_algorithm(self):
         with pytest.raises(ArgumentError):
             SolverConfig(algorithm="kmeans")
+
+    def test_stats_have_one_schema(self):
+        fm, sign = clustered_instance(3)
+        single = FeatureMatrix(np.ones((1, 3), dtype=np.float32))
+        schemas = {
+            frozenset(solve(inst, cfg_for(alg, sign)).stats)
+            for alg in ALGORITHMS
+            for inst in (fm, single)
+        }
+        assert schemas == {
+            frozenset(
+                {
+                    "wall_ms",
+                    "n_contractions",
+                    "n_exhaustive_searches",
+                    "loop_searches",
+                    "init_ms",
+                    "rebuilds",
+                }
+            )
+        }
 
     def test_default_k_per_algorithm(self):
         assert SolverConfig(algorithm="dgaec").resolved_k == 1
