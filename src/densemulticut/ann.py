@@ -4,9 +4,10 @@ The default index builds a proximity graph from coarse anchors: nodes are
 grouped by their nearest anchor (a seeded sample of database rows), and
 every group is scored exactly against the members of its closest anchor
 groups, with ``ef_construction`` setting the per-node candidate budget.
-Each node keeps its best ``m_links`` candidates; there are no
-neighbour-descent rounds. Stored similarities are always true inner
-products; the approximation is only in candidate coverage.
+Each node keeps its best ``min(k, m_links)`` candidates for a query of k
+neighbours; there are no neighbour-descent rounds. Stored similarities are
+always true inner products; the approximation is only in candidate
+coverage.
 
 Construction is deterministic for a fixed seed.
 """
@@ -26,7 +27,7 @@ from .knn import NeighbourLists, block_topk, select_rows
 class AnnParams:
     """Tuning knobs for the default index.
 
-    ``m_links`` is the length of each stored neighbour list and
+    ``m_links`` caps the length of each neighbour list and
     ``ef_construction`` the per-node candidate budget of the build (more
     probed anchor groups per node).
     """
@@ -102,7 +103,7 @@ class ProximityGraphIndex(AnnIndex):
         return self.db.shape[0]
 
     def _quantized_seed(
-        self, m: int, rng: np.random.Generator
+        self, k: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
         """Neighbour lists from coarse-anchor candidate groups.
 
@@ -110,9 +111,10 @@ class ProximityGraphIndex(AnnIndex):
         database rows); each group is scored against the members of its
         closest anchor neighbourhoods with one matrix product.
         ``ef_construction`` sets the per-node candidate budget through the
-        number of probed anchor lists. Returns the ``(n, m)`` neighbour ids
+        number of probed anchor lists. Each node keeps its best
+        ``min(k, m_links)`` candidates. Returns the ``(n, k)`` neighbour ids
         (``-1`` pad) and their exact similarities (``-inf`` pad), both in
-        descending similarity per node.
+        descending similarity per node, ties toward the smaller id.
         """
         n = self.n
         p = self.params
@@ -128,8 +130,9 @@ class ProximityGraphIndex(AnnIndex):
         probes = int(np.clip(round(p.ef_construction / avg_group), 2, n_anchor))
         near_anchors = np.argsort(-anchor_sims, axis=1, kind="stable")[:, :probes]
 
-        nbrs = np.full((n, m), -1, dtype=np.int64)
-        sims = np.full((n, m), -np.inf)
+        keep = min(k, p.m_links)
+        nbrs = np.full((n, k), -1, dtype=np.int64)
+        sims = np.full((n, k), -np.inf)
         for c in range(n_anchor):
             group = members[c]
             if group.size == 0:
@@ -137,22 +140,11 @@ class ProximityGraphIndex(AnnIndex):
             cand = np.unique(np.concatenate([members[a] for a in near_anchors[c]]))
             block = self.qr[group] @ self.db[cand].T
             block[cand[None, :] == group[:, None]] = -np.inf
-            keep = min(m, cand.size)
-            top = np.argpartition(-block, keep - 1, axis=1)[:, :keep]
-            ids = cand[top]
-            vals = np.take_along_axis(block, top, axis=1)
-            order = np.argsort(-vals, axis=1, kind="stable")
-            ids = np.take_along_axis(ids, order, axis=1)
-            vals = np.take_along_axis(vals, order, axis=1)
-            ids[~np.isfinite(vals)] = -1
-            nbrs[group, :keep] = ids
-            sims[group, :keep] = vals
+            nbrs[group, :keep], sims[group, :keep] = select_rows(block, cand, keep)
         return nbrs, sims
 
     def self_knn(self, k: int) -> NeighbourLists:
-        m = min(self.params.m_links, self.n - 1)
-        nbrs, sims = self._quantized_seed(m, np.random.default_rng(self.seed))
-        return NeighbourLists(*select_rows(-sims, nbrs, k))
+        return NeighbourLists(*self._quantized_seed(k, np.random.default_rng(self.seed)))
 
 
 def ann_default_build(

@@ -14,7 +14,12 @@ merged node instead of a full search whenever possible.
 
 Every ranking breaks similarity ties toward the smaller node id, and a
 selection cut to ``k`` first keeps every candidate tied with the k-th
-value, so ties at the cut resolve by id as well.
+value, so ties at the cut resolve by id as well. One helper,
+:func:`select_rows`, does every cut of a block of similarities: the exact
+searches, the approximate index's candidate lists and long single lists.
+It takes the maxima of strided column groups first; the k-th largest group
+maximum is a lower bound on the k-th value, so only the few entries at or
+above it are gathered and sorted, and the selection stays exact.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ INF = float("inf")
 
 # Query rows per matrix product of a batched search.
 _BLOCK = 512
-# Rows per selection pass within a block; bounds the selection temporaries.
-_SLICE = 64
+# Most column groups a selection takes maxima over.
+_GROUPS = 128
 # Up to this many candidates a plain sort beats the numpy calls of a
 # partial selection.
 _SMALL = 32
@@ -42,50 +47,88 @@ def ranked(ids: np.ndarray, sims: np.ndarray, k: int) -> list[tuple[int, float]]
     if ids.size <= _SMALL:
         arcs = sorted(zip(ids.tolist(), sims.tolist()), key=lambda a: (-a[1], a[0]))
         return arcs[:k]
-    if ids.size > k:
-        keep = sims >= -np.partition(-sims, k - 1)[k - 1]
-        ids, sims = ids[keep], sims[keep]
-    order = np.lexsort((ids, -sims))[:k]
-    return [(int(ids[t]), float(sims[t])) for t in order]
+    top_ids, top_sims = select_rows(sims[None, :], ids, k)
+    width = int(np.count_nonzero(top_ids[0] >= 0))
+    return list(zip(top_ids[0, :width].tolist(), top_sims[0, :width].tolist()))
 
 
 def select_rows(
-    neg: np.ndarray, ids: np.ndarray, k: int
+    sims: np.ndarray, ids: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k of every row of a block of negated similarities.
+    """Top-k of every row of a block of similarities.
 
-    ``neg`` holds ``-sim`` per candidate, ``+inf`` where a candidate is
-    excluded (a similarity of ``-inf`` never ranks); ``ids`` holds the
-    candidate ids, shared by all rows (1-D) or per row (2-D). Returns
-    ``(rows, k)`` ids (``-1`` pad) and similarities (``-inf`` pad) ranked
-    as :func:`ranked` ranks one row. Only rows with more than k candidates
-    at or above the k-th value take a row-wise path.
+    ``sims`` holds one similarity per candidate, ``-inf`` where a candidate
+    is excluded (it never ranks); ``ids`` names the columns, in any order,
+    and is shared by all rows. Returns ``(rows, k)`` ids (``-1`` pad) and
+    similarities (``-inf`` pad), each row ranked by descending similarity
+    with ties toward the smaller id.
+
+    The selection is exact and makes two passes. The first splits the ``c``
+    columns into ``G`` strided groups, group ``g`` holding columns
+    ``g, g+G, g+2G, ...`` and the last ``c mod G`` columns a tail, and takes
+    each row's group maxima in one reduction. Let ``t`` be a row's k-th
+    largest group maximum: the k groups with the largest maxima hold k
+    distinct entries of at least ``t``, so the row's k-th value, and every
+    entry tied with it, is at least ``t``. The second pass gathers only the
+    entries at or above ``t`` from groups whose maximum reaches it and from
+    the tail, and ranks them with one lexsort by (row, -sim, id) before
+    cutting each row at k. Entries tied with the k-th value all pass the
+    filter, so ties at the cut resolve by id with no special case.
+
+    ``G = max(k, min(128, c // 4))``, from the shape alone: at least k
+    groups, so that ``t`` exists; at least 4 columns per group below
+    ``c = 512``, so that small blocks still skip most groups; and at most
+    128 groups, so that finding ``t`` stays cheap against the pass over
+    the block.
     """
-    r, c = neg.shape
-    out_ids = np.full((r, k), -1, dtype=np.int64)
-    out_sims = np.full((r, k), -INF)
-    if c > k:
-        part = np.argpartition(neg, k - 1, axis=1)[:, :k]
-        vals = np.take_along_axis(neg, part, axis=1)
-        kth = vals[:, k - 1]
-        tied = np.flatnonzero(np.count_nonzero(neg <= kth[:, None], axis=1) > k)
+    r, c = sims.shape
+    out_ids = np.full(r * k, -1, dtype=np.int64)
+    out_sims = np.full(r * k, -INF)
+    if r and c and k:
+        rows, cand, picked = _above_threshold(sims, ids, k)
+        order = np.lexsort((cand, -picked, rows))
+        rows = rows[order]
+        rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+        keep = np.flatnonzero(rank < k)
+        slot = rows[keep] * k + rank[keep]
+        out_ids[slot] = cand[order[keep]]
+        out_sims[slot] = picked[order[keep]]
+    return out_ids.reshape(r, k), out_sims.reshape(r, k)
+
+
+def _above_threshold(
+    sims: np.ndarray, ids: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, id and similarity of every entry that may rank in the top k of
+    its row: the finite entries at or above the row's group-max threshold."""
+    r, c = sims.shape
+    g = max(k, min(_GROUPS, c // 4))
+    span = c // g * g
+    # the floor keeps -inf entries out when a row has fewer than k finite ones
+    floor = np.finfo(sims.dtype).min
+    rows, cols, picked = [], [], []
+    if span:
+        # splitting the column axis is a view for any strides, so the block
+        # is never copied
+        groups = sims[:, :span].reshape(r, c // g, g)
+        gmax = groups.max(axis=1)
+        t = np.maximum(np.partition(gmax, g - k, axis=1)[:, g - k], floor)
+        hit_row, hit_group = np.nonzero(gmax >= t[:, None])
+        vals = groups[hit_row, :, hit_group]
+        at, pos = np.nonzero(vals >= t[hit_row, None])
+        rows.append(hit_row[at])
+        cols.append(hit_group[at] + g * pos)
+        picked.append(vals[at, pos])
     else:
-        part = np.broadcast_to(np.arange(c), (r, c))
-        vals = neg
-        tied = ()
-    cand = ids[part] if ids.ndim == 1 else np.take_along_axis(ids, part, axis=1)
-    order = np.lexsort((cand, vals), axis=1)
-    vals = np.take_along_axis(vals, order, axis=1)
-    keep = vals < INF
-    out_ids[:, :vals.shape[1]] = np.where(keep, np.take_along_axis(cand, order, axis=1), -1)
-    out_sims[:, :vals.shape[1]] = np.where(keep, -vals, -INF)
-    for row in tied:
-        pos = np.flatnonzero((neg[row] <= kth[row]) & (neg[row] < INF))
-        rid = ids[pos] if ids.ndim == 1 else ids[row, pos]
-        top = np.lexsort((rid, neg[row, pos]))[:k]
-        out_ids[row, :top.size] = rid[top]
-        out_sims[row, :top.size] = -neg[row, pos[top]]
-    return out_ids, out_sims
+        t = np.full(r, floor, dtype=sims.dtype)
+    if span < c:
+        tail = sims[:, span:]
+        tail_row, tail_col = np.nonzero(tail >= t[:, None])
+        rows.append(tail_row)
+        cols.append(tail_col + span)
+        picked.append(tail[tail_row, tail_col])
+    rows, cols, picked = (np.concatenate(a) for a in (rows, cols, picked))
+    return rows, ids[cols], picked
 
 
 class NeighbourLists(Sequence):
@@ -127,8 +170,7 @@ def block_topk(
 
     ``ids[c]`` names database row ``c``; ``self_pos[r]`` is the database row
     query ``r`` must skip, or ``-1``. Similarities come from one matrix
-    product per block of 512 queries and selection runs on row slices of
-    that block, so results do not depend on the slicing.
+    product per block of 512 queries, and each block is selected whole.
     """
     if k < 1:
         raise ArgumentError("k must be at least 1")
@@ -137,18 +179,13 @@ def block_topk(
     out_sims = np.empty((nq, k))
     for start in range(0, nq, _BLOCK):
         stop = min(start + _BLOCK, nq)
-        neg = qr[queries[start:stop]] @ db.T
-        np.negative(neg, out=neg)
+        sims = qr[queries[start:stop]] @ db.T
         rows = np.flatnonzero(self_pos[start:stop] >= 0)
-        neg[rows, self_pos[start + rows]] = INF
-        for a in range(0, stop - start, _SLICE):
-            b = min(a + _SLICE, stop - start)
-            out_ids[start + a : start + b], out_sims[start + a : start + b] = (
-                select_rows(neg[a:b], ids, k)
-            )
+        sims[rows, self_pos[start + rows]] = -INF
+        out_ids[start:stop], out_sims[start:stop] = select_rows(sims, ids, k)
         # free this block before the next product allocates its own, so at
         # most one block of similarities is alive
-        del neg
+        del sims
     return NeighbourLists(out_ids, out_sims)
 
 

@@ -1,5 +1,5 @@
-"""Array-backed NN graph, per-node candidate queue, block top-k and the
-tie contract under exact similarity ties."""
+"""Array-backed NN graph, per-node candidate queue, block top-k, the
+selection helper and the tie contract under exact similarity ties."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from densemulticut.knn import (
     NNGraph,
     best_arc,
     build_nn_graph,
+    select_rows,
     topk_batch,
 )
 from densemulticut.solvers import SolverConfig, solve
@@ -69,6 +70,66 @@ class TestBlockTopk:
         assert_matches_brute(state, [2, m, 7], 3, lists)
         dead_all = topk_batch(state, np.array([2]), 40)[0]
         assert len(dead_all) == state.n_alive
+
+
+def brute_select(sims, ids, k):
+    """Row-by-row reference: sort the finite entries by (-sim, id), cut at k."""
+    r, c = sims.shape
+    out_ids = np.full((r, k), -1, dtype=np.int64)
+    out_sims = np.full((r, k), -np.inf)
+    for row in range(r):
+        best = sorted(
+            (-float(sims[row, col]), int(ids[col]))
+            for col in range(c)
+            if sims[row, col] > -np.inf
+        )[:k]
+        for pos, (neg, t) in enumerate(best):
+            out_ids[row, pos] = t
+            out_sims[row, pos] = -neg
+    return out_ids, out_sims
+
+
+class TestSelectRows:
+    # column counts on both sides of each group-size boundary: k at or
+    # above c, k above c // 4 so that the group count is k, c around
+    # 4 * 128 where the group count stops growing, and counts that leave a
+    # tail of c mod G columns
+    @settings(max_examples=300, deadline=None)
+    @given(
+        r=st.integers(1, 5),
+        c=st.one_of(st.integers(1, 12), st.integers(13, 300), st.integers(500, 530)),
+        k_kind=st.sampled_from(["one", "small", "groups", "all"]),
+        values=st.sampled_from(["integer", "two-valued", "continuous"]),
+        exclude=st.sampled_from([0.0, 0.3, 0.9]),
+        sliced=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force(
+        self, r, c, k_kind, values, exclude, sliced, seed
+    ):
+        rng = np.random.default_rng(seed)
+        k = {
+            "one": 1,
+            "small": int(rng.integers(1, 9)),
+            # more than c // 4 groups' worth, so the group count is k
+            "groups": int(rng.integers(c // 4 + 1, c + 1)),
+            "all": c + int(rng.integers(0, 3)),
+        }[k_kind]
+        if values == "integer":
+            sims = rng.integers(-3, 4, size=(r, c)).astype(np.float64)
+        elif values == "two-valued":
+            sims = rng.integers(0, 2, size=(r, c)) * 0.5
+        else:
+            sims = rng.normal(size=(r, c))
+        sims[rng.random((r, c)) < exclude] = -np.inf
+        if sliced:
+            # a non-contiguous view whose hidden columns would win if read
+            sims = np.concatenate([sims, np.full((r, 7), 1e9)], axis=1)[:, :c]
+        ids = rng.permutation(3 * c)[:c]
+        got_ids, got_sims = select_rows(sims, ids, k)
+        want_ids, want_sims = brute_select(sims, ids, k)
+        np.testing.assert_array_equal(got_ids, want_ids)
+        np.testing.assert_array_equal(got_sims, want_sims)
 
 
 class TestArrayGraph:
