@@ -12,6 +12,11 @@ cut by a partition is ``1/2 * sum_c Q_c . (D - D_c)``, where ``Q_c`` and
 the sum of all database rows, so scoring a partition takes O(n*d) rather
 than O(n^2*d).
 
+The solver workspace keeps every node's 64-bit row by id, ``2n - 1`` rows
+(and as many query rows again when the affinity sign is MINUS), and also
+the alive database rows packed at the front of one ``n``-row array, so an
+exact search multiplies against the alive rows without gathering them.
+
 Features are stored in 32-bit precision; all similarity arithmetic is
 accumulated in 64-bit.
 """
@@ -286,8 +291,22 @@ class ContractionState:
 
     Holds 64-bit extended feature rows (affinity column folded in) with
     capacity for every merged node, the aliveness mask, and the merge
-    forest. Mutation is single-writer; reads of the immutable input may be
-    shared across threads.
+    forest. ``db`` and ``qr`` keep all ``2n - 1`` rows, dead ones included,
+    indexed by node id; ``qr`` is ``db`` itself unless the affinity sign is
+    MINUS.
+
+    The alive database rows are also kept packed at the front of one
+    ``(n0, dim)`` array, ``packed``, so an exact search multiplies straight
+    against ``packed[:n_alive]`` with no gather. ``order[p]`` is the id in
+    slot ``p`` and ``slot[u]`` the slot of id ``u`` (``-1`` once ``u`` is
+    dead); packed order is not ascending id order. A contraction keeps them
+    in step in O(d): the merged node takes i's slot and the last alive row
+    moves into j's slot. Memory: ``2n - 1`` float64 rows of ``db``, as many
+    again of ``qr`` under MINUS, plus ``n0`` packed rows from the first
+    contraction on (before it, ``packed`` is a view of ``db[:n0]``).
+
+    Mutation is single-writer; reads of the immutable input may be shared
+    across threads.
     """
 
     def __init__(self, fm: FeatureMatrix) -> None:
@@ -304,6 +323,13 @@ class ContractionState:
         else:
             self.qr = np.zeros((cap, self.dim), dtype=np.float64)
             self.qr[:n] = qr0
+        # until the first contraction the alive rows are exactly db[:n] in
+        # id order, so packed starts as that view and contract() copies it;
+        # building the initial graph then holds no extra rows
+        self.packed = self.db[:n]
+        self.order = np.arange(n, dtype=np.int64)
+        self.slot = np.full(cap, -1, dtype=np.int64)
+        self.slot[:n] = self.order
         self.forest = ContractionForest(n)
         self.alive = self.forest.alive
 
@@ -331,14 +357,31 @@ class ContractionState:
 
     def contract(self, i: int, j: int) -> int:
         """Contract nodes ``i`` and ``j``; returns the fresh merged id."""
-        if i == j:
-            raise ArgumentError("cannot contract a node with itself")
-        self.check_alive(i)
-        self.check_alive(j)
+        # the forest rejects i == j and dead ends before any row is written
         m = self.forest.merge(i, j)
-        self.db[m] = self.db[i] + self.db[j]
-        if self.qr is not self.db:
-            self.qr[m] = self.qr[i] + self.qr[j]
+        if self.packed.base is self.db:
+            self.packed = self.packed.copy()
+        db, packed, order, slot = self.db, self.packed, self.order, self.slot
+        row = db[m]
+        np.add(db[i], db[j], out=row)
+        if self.qr is not db:
+            qr = self.qr
+            np.add(qr[i], qr[j], out=qr[m])
+        si, sj = slot.item(i), slot.item(j)
+        # one alive node fewer: slot ``last`` falls out of packed[:n_alive]
+        last = self.n_alive
+        packed[si] = row
+        order[si] = m
+        slot[m] = si
+        slot[i] = -1
+        slot[j] = -1
+        if sj != last:
+            # the row in the last alive slot (m itself when si was last)
+            # fills the hole j left
+            moved = order.item(last)
+            packed[sj] = packed[last]
+            order[sj] = moved
+            slot[moved] = sj
         return m
 
 

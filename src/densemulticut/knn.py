@@ -19,7 +19,15 @@ value, so ties at the cut resolve by id as well. One helper,
 searches, the approximate index's candidate lists and long single lists.
 It takes the maxima of strided column groups first; the k-th largest group
 maximum is a lower bound on the k-th value, so only the few entries at or
-above it are gathered and sorted, and the selection stays exact.
+above it are gathered and sorted, and the selection stays exact. At k = 1
+that bound is the row maximum itself, so the cut is a row maximum plus the
+smallest id among the entries equal to it.
+
+The exact searches multiply query rows straight against the contraction
+state's packed alive rows (``ContractionState.packed``), whose columns are
+not in id order. The selection ranks ids in any order, so the order of
+the columns changes no ranking; a similarity's last bits can still depend
+on its column's position in the product.
 """
 
 from __future__ import annotations
@@ -43,10 +51,13 @@ _SMALL = 32
 
 
 def ranked(ids: np.ndarray, sims: np.ndarray, k: int) -> list[tuple[int, float]]:
-    """Top-k of (ids, sims) sorted by descending sim, ties by smaller id."""
+    """Top-k of (ids, sims) sorted by descending sim, ties by smaller id;
+    ``-inf`` entries never rank."""
     if ids.size <= _SMALL:
-        arcs = sorted(zip(ids.tolist(), sims.tolist()), key=lambda a: (-a[1], a[0]))
-        return arcs[:k]
+        arcs = sorted(zip(ids.tolist(), sims.tolist()), key=lambda a: (-a[1], a[0]))[:k]
+        while arcs and arcs[-1][1] == -INF:
+            arcs.pop()
+        return arcs
     top_ids, top_sims = select_rows(sims[None, :], ids, k)
     width = int(np.count_nonzero(top_ids[0] >= 0))
     return list(zip(top_ids[0, :width].tolist(), top_sims[0, :width].tolist()))
@@ -80,8 +91,17 @@ def select_rows(
     ``c = 512``, so that small blocks still skip most groups; and at most
     128 groups, so that finding ``t`` stays cheap against the pass over
     the block.
+
+    At k = 1 the largest group maximum is the row maximum, so ``t`` is the
+    row's top value and the entries that pass the filter are exactly those
+    equal to it; ranking them by id keeps the smallest. That case is
+    computed directly: one maximum per row, then one masked minimum over
+    the shared ids, with no lexsort and no integer block of the size of
+    ``sims``. Both cases give the same result for ids in any order.
     """
     r, c = sims.shape
+    if k == 1 and c:
+        return _select_max(sims, ids)
     out_ids = np.full(r * k, -1, dtype=np.int64)
     out_sims = np.full(r * k, -INF)
     if r and c and k:
@@ -94,6 +114,20 @@ def select_rows(
         out_ids[slot] = cand[order[keep]]
         out_sims[slot] = picked[order[keep]]
     return out_ids.reshape(r, k), out_sims.reshape(r, k)
+
+
+def _select_max(sims: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The k = 1 case of :func:`select_rows`: each row's maximum and the
+    smallest id among the entries equal to it, with no integer block."""
+    top = sims.max(axis=1)
+    best = np.minimum.reduce(
+        np.broadcast_to(ids, sims.shape),
+        axis=1,
+        where=sims == top[:, None],
+        initial=np.iinfo(ids.dtype).max,
+    )
+    best = np.where(top > -INF, best, -1).astype(np.int64, copy=False)
+    return best[:, None], top[:, None]
 
 
 def _above_threshold(
@@ -193,29 +227,32 @@ def topk_exact(state: ContractionState, query: int, k: int) -> list[tuple[int, f
     """The k alive nodes most similar to ``query``, descending.
 
     Returns fewer than ``k`` entries when fewer candidates exist. Ties break
-    toward the smaller node id.
+    toward the smaller node id. The query row is multiplied against the
+    packed alive rows, its own similarity set to ``-inf``.
     """
     if k < 1:
         raise ArgumentError("k must be at least 1")
     state.check_alive(query)
-    alive = state.alive_ids()
-    cand = alive[alive != query]
-    if cand.size == 0:
-        return []
-    sims = state.db[cand] @ state.qr[query]
-    return ranked(cand, sims, k)
+    n = state.n_alive
+    sims = state.packed[:n] @ state.qr[query]
+    sims[state.slot[query]] = -INF
+    return ranked(state.order[:n], sims, k)
 
 
 def topk_batch(state: ContractionState, queries: np.ndarray, k: int) -> NeighbourLists:
     """Exact top-k among alive nodes for many query nodes at once.
 
     A query is never its own neighbour; a query that is not alive is
-    ranked against every alive node.
+    ranked against every alive node. The queries are multiplied straight
+    against the packed alive rows, ``state.order`` names their columns and
+    ``state.slot`` gives each alive query the column it must skip, so no
+    alive-id list is rebuilt and no database row is gathered.
     """
     queries = np.asarray(queries, dtype=np.int64)
-    alive = state.alive_ids()
-    self_pos = np.where(state.alive[queries], np.searchsorted(alive, queries), -1)
-    return block_topk(state.qr, queries, state.db[alive], alive, self_pos, k)
+    n = state.n_alive
+    return block_topk(
+        state.qr, queries, state.packed[:n], state.order[:n], state.slot[queries], k
+    )
 
 
 class NNGraph:

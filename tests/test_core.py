@@ -381,3 +381,43 @@ class TestPartition:
         obj = objective(fm, labels)
         part = Partition(labels, int(labels.max()) + 1, obj)
         assert part.objective == pytest.approx(objective(fm, part.labels), rel=1e-9)
+
+
+def assert_packed_consistent(state):
+    n = state.n_alive
+    order = state.order[:n]
+    assert state.packed[:n].tobytes() == state.db[order].tobytes()
+    assert np.array_equal(np.sort(order), state.alive_ids())
+    assert np.array_equal(state.slot[order], np.arange(n))
+    assert (state.slot[~state.alive] == -1).all()
+
+
+class TestPackedRows:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        d=st.integers(1, 3),
+        sign=st.sampled_from([AlphaSign.PLUS, AlphaSign.MINUS, AlphaSign.OFF]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_packed_rows_follow_random_merges(self, n, d, sign, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.integers(-2, 3, size=(n, d)).astype(np.float32)
+        state = ContractionState(FeatureMatrix(data).with_affinity(0.5, sign))
+        assert_packed_consistent(state)
+        for _ in range(int(rng.integers(1, n))):
+            i, j = rng.choice(state.alive_ids(), size=2, replace=False)
+            state.contract(int(i), int(j))
+            assert_packed_consistent(state)
+
+    def test_rejected_contraction_writes_nothing(self):
+        state = ContractionState(make_instance(6, 3, seed=4, alpha=0.4, sign=AlphaSign.MINUS))
+        m = state.contract(1, 4)
+        before = [a.copy() for a in (state.packed, state.order, state.slot, state.db)]
+        for i, j, err in ((2, 2, ArgumentError), (1, 3, StateError), (3, 4, StateError)):
+            with pytest.raises(err):
+                state.contract(i, j)
+        after = (state.packed, state.order, state.slot, state.db)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert state.n_alive == 5 and state.alive[m]
+        assert_packed_consistent(state)

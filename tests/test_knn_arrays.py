@@ -13,6 +13,7 @@ from densemulticut.knn import (
     build_nn_graph,
     select_rows,
     topk_batch,
+    topk_exact,
 )
 from densemulticut.solvers import SolverConfig, solve
 
@@ -70,6 +71,30 @@ class TestBlockTopk:
         assert_matches_brute(state, [2, m, 7], 3, lists)
         dead_all = topk_batch(state, np.array([2]), 40)[0]
         assert len(dead_all) == state.n_alive
+
+
+class TestPackedSearch:
+    # at least n/2 random merges scramble the packed order, so the packed
+    # columns are far from ascending id order when the searches run
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(4, 90),
+        d=st.integers(1, 3),
+        sign=st.sampled_from([AlphaSign.PLUS, AlphaSign.MINUS, AlphaSign.OFF]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_searches_after_merges_match_brute_force(self, n, d, sign, seed):
+        rng = np.random.default_rng(seed)
+        fm = integer_state(n, d, seed).fm.with_affinity(0.5, sign)
+        state = ContractionState(fm)
+        for _ in range(int(rng.integers((n + 1) // 2, n - 1))):
+            i, j = rng.choice(state.alive_ids(), size=2, replace=False)
+            state.contract(int(i), int(j))
+        alive = state.alive_ids()
+        for k in (1, 3, 6):
+            assert_matches_brute(state, alive, k, topk_batch(state, alive, k))
+            exact = [topk_exact(state, int(q), k) for q in alive]
+            assert_matches_brute(state, alive, k, exact)
 
 
 def brute_select(sims, ids, k):
