@@ -5,12 +5,15 @@ The graph stores every node's outgoing arcs in two padded arrays, ``nbr``
 one row of ``k`` slots per node id, plus the exact reverse-adjacency index.
 The candidate queue keeps one entry per node, the best arc of its row, and
 the contraction loop takes the argmax over those entries. After contracting
-an arc the graph is repaired either by exhaustive re-search of every
-affected node or incrementally: the merged node's neighbours are filtered
-from the union of its parents' neighbour lists via an upper bound on
-similarities to all other nodes, and the rows of nodes that pointed at a
-parent are repaired as one block, with a single membership check for the
-merged node instead of a full search whenever possible.
+an arc the graph is repaired in one of two ways. The exhaustive repair
+searches the merged node and re-searches every node that pointed at a
+parent, except rows it certifies: a row that lost one arc and for which
+the merged node beats the row's old weakest arc takes the merged node in
+the freed slot with no search. The incremental repair filters the merged
+node's neighbours from the union of its parents' neighbour lists via an
+upper bound on similarities to all other nodes. Both repair the rows of
+nodes that pointed at a parent as one block, with a single membership
+check for the merged node instead of a full search whenever possible.
 
 Every ranking breaks similarity ties toward the smaller node id, and a
 selection cut to ``k`` first keeps every candidate tied with the k-th
@@ -95,9 +98,11 @@ def select_rows(
     At k = 1 the largest group maximum is the row maximum, so ``t`` is the
     row's top value and the entries that pass the filter are exactly those
     equal to it; ranking them by id keeps the smallest. That case is
-    computed directly: one maximum per row, then one masked minimum over
-    the shared ids, with no lexsort and no integer block of the size of
-    ``sims``. Both cases give the same result for ids in any order.
+    computed directly: one argmax per row, then a count of the entries
+    equal to each maximum, and the masked minimum over the shared ids only
+    for rows where the maximum recurs, with no lexsort and no integer block
+    of the size of ``sims``. Both cases give the same result for ids in any
+    order.
     """
     r, c = sims.shape
     if k == 1 and c:
@@ -119,14 +124,17 @@ def select_rows(
 def _select_max(sims: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The k = 1 case of :func:`select_rows`: each row's maximum and the
     smallest id among the entries equal to it, with no integer block."""
-    top = sims.max(axis=1)
-    best = np.minimum.reduce(
-        np.broadcast_to(ids, sims.shape),
-        axis=1,
-        where=sims == top[:, None],
-        initial=np.iinfo(ids.dtype).max,
-    )
-    best = np.where(top > -INF, best, -1).astype(np.int64, copy=False)
+    r = sims.shape[0]
+    pos = sims.argmax(axis=1)
+    top = sims[np.arange(r), pos]
+    best = ids[pos].astype(np.int64, copy=False)
+    # argmax takes a row's first maximal column, and the columns are not in
+    # id order, so only a row whose maximum recurs needs the id comparison
+    at_top = sims == top[:, None]
+    if np.count_nonzero(at_top) > r:
+        tied = np.flatnonzero(np.count_nonzero(at_top, axis=1) > 1)
+        best[tied] = np.where(at_top[tied], ids, ids.max()).min(axis=1)
+    best[top == -INF] = -1
     return best[:, None], top[:, None]
 
 
@@ -381,13 +389,16 @@ class ArcBatch:
     """Arcs written by one graph update, plus every row the update changed.
 
     ``rows`` names the nodes whose arc lists changed, including nodes that
-    died; iterating yields the written arcs as ``(src, dst, sim)``.
+    died; ``insertions`` counts the rows that received an arc to the merged
+    node without a search; iterating yields the written arcs as
+    ``(src, dst, sim)``.
     """
 
-    __slots__ = ("rows", "_parts")
+    __slots__ = ("rows", "insertions", "_parts")
 
     def __init__(self, rows: np.ndarray) -> None:
         self.rows = rows
+        self.insertions = 0
         self._parts: list[tuple] = []
 
     def add(self, src, dst, sim) -> None:
@@ -579,6 +590,7 @@ def incremental_update(
             q_add = q_ids[add]
             graph.in_index.setdefault(m, set()).update(q_add.tolist())
             batch.add(q_add, m, sim[add, slot])
+            batch.insertions = add.size
         graph.nbr[q_ids] = nbr
         graph.sim[q_ids] = sim
         if not lazy:
@@ -598,15 +610,43 @@ def exhaustive_update(
     j: int,
     m: int,
 ) -> tuple[ArcBatch, int]:
-    """Post-contraction repair by exhaustive re-search of the merged node
-    and of every node that listed i or j."""
+    """Post-contraction repair for the plain dense greedy solver.
+
+    Every row must hold the exact top k of the nodes it was ranked against,
+    as every row of ``dgaec`` does. The merged node is searched, and so is
+    every node that listed i or j, except where its row is certified
+    instead: it listed exactly one of them and ``sim(u, m)`` is strictly
+    above its weakest arc before the drop. Every node the row left out is
+    at most that arc, and one tied with it has a smaller id than m, so m
+    takes the freed slot and the row is again exact, with m in place of the
+    parent, at no search. A row shorter than k lists every node it was
+    ranked against; its ``-inf`` pad certifies it whenever it lost one arc.
+    The rows are repaired as one block, with one batched search for m and
+    the uncertified rows. Returns (the arcs written, number of exhaustive
+    searches performed).
+    """
     state.check_alive(m)
-    nin = (graph.in_index.get(i, set()) | graph.in_index.get(j, set())) - {i, j}
-    graph.drop_node(i)
-    graph.drop_node(j)
-    queries = np.array([m] + sorted(nin), dtype=np.int64)
+    graph._clear_row(i)
+    graph._clear_row(j)
+    nin = graph.in_index.pop(i, set()) | graph.in_index.pop(j, set())
+    in_nbrs = sorted(nin)
+    q_ids = np.array(in_nbrs, dtype=np.int64)
+    nbr = graph.nbr[q_ids]
+    row, col = np.nonzero((nbr == i) | (nbr == j))
+    weakest = graph.sim[q_ids].min(axis=1)
+    sims_qm = state.db[m] @ state.qr[q_ids].T
+    certified = (np.bincount(row, minlength=q_ids.size) == 1) & (sims_qm > weakest)
+    won = certified[row]
+    graph.nbr[q_ids[row], col] = np.where(won, m, -1)
+    graph.sim[q_ids[row], col] = np.where(won, sims_qm[row], -INF)
+    q_cert = q_ids[certified]
+    graph.in_index[m] = set(q_cert.tolist())
+
+    queries = np.concatenate([[m], q_ids[~certified]])
     lists = topk_batch(state, queries, graph.k)
     graph.set_rows(queries, lists.ids, lists.sims, from_full=True)
-    batch = ArcBatch(np.concatenate([np.array([i, j], dtype=np.int64), queries]))
+    batch = ArcBatch(np.array([i, j, m, *in_nbrs], dtype=np.int64))
+    batch.add(q_cert, m, sims_qm[certified])
     batch.add(queries[:, None], lists.ids, lists.sims)
-    return batch, len(queries)
+    batch.insertions = q_cert.size
+    return batch, queries.size

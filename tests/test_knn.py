@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from densemulticut import knn
 from densemulticut.core import AlphaSign, ContractionState, FeatureMatrix
 from densemulticut.errors import ArgumentError, StateError
 from densemulticut.knn import (
@@ -368,3 +369,52 @@ class TestExhaustiveUpdate:
             if a < b
         )
         assert best_cached == pytest.approx(true_max, rel=1e-9, abs=1e-12)
+
+    def test_certified_row_takes_merged_node_without_search(self, monkeypatch):
+        # u lists i and sim(u, j) > 0, so u's row is certified; v lists j
+        # and sim(v, i) < 0, so v is re-searched
+        state = state_from(
+            [
+                [1.0, 0.0],   # u
+                [0.9, 0.3],   # i
+                [0.2, 1.0],   # j
+                [-0.5, 1.0],  # v
+            ]
+        )
+        graph, _ = build_nn_graph(state, 1)
+        assert graph.targets(0) == [1] and graph.targets(3) == [2]
+        searched = []
+
+        def spy(state, queries, k):
+            searched.extend(np.asarray(queries).tolist())
+            return topk_batch(state, queries, k)
+
+        monkeypatch.setattr(knn, "topk_batch", spy)
+        m = state.contract(1, 2)
+        new_arcs, searches = exhaustive_update(graph, state, 1, 2, m)
+        assert sorted(searched) == [3, m]
+        assert searches == 1 + 1  # m and the one uncertified row, v
+        assert new_arcs.insertions == 1
+        assert graph.targets(0) == [m]
+        assert graph.arcs(0)[0][1] == pytest.approx(state.sim(0, m), rel=1e-12)
+        assert graph.arcs(0) == pytest.approx(topk_exact(state, 0, 1), rel=1e-12)
+        graph.validate(state)
+
+    @pytest.mark.parametrize(
+        "rows, k",
+        [
+            # u lists i; sim(u, m) only ties u's weakest arc, and node 3,
+            # unlisted at that similarity, has a smaller id than m
+            ([[1, 0], [1, 1], [0, 1], [1, 2]], 1),
+            # u lists both i and j, so the second freed slot needs a search
+            ([[1, 0], [1, 0.5], [1, -0.5], [0.5, 0]], 2),
+        ],
+    )
+    def test_uncertified_row_is_researched(self, rows, k):
+        state = state_from(rows)
+        graph, _ = build_nn_graph(state, k)
+        assert 1 in graph.targets(0)
+        m = state.contract(1, 2)
+        exhaustive_update(graph, state, 1, 2, m)
+        assert graph.arcs(0) == pytest.approx(topk_exact(state, 0, k), rel=1e-12)
+        graph.validate(state)

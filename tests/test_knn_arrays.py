@@ -216,12 +216,15 @@ class TestTieContract:
             )
         ),
         sign=st.sampled_from([AlphaSign.PLUS, AlphaSign.MINUS, AlphaSign.OFF]),
+        k=st.sampled_from([1, 2, 3]),
     )
-    def test_dense_greedy_reproduces_gaec_under_ties(self, rows, sign):
+    def test_dense_greedy_reproduces_gaec_under_ties(self, rows, sign, k):
+        # dgaec-inc only at its default k: at k = 2 to 4 its merged lists
+        # can miss a node tied with the contraction bound
         fm = FeatureMatrix(np.array(rows, dtype=np.float32))
         trace = {}
-        for algo in ("gaec", "dgaec", "dgaec-inc"):
-            cfg = SolverConfig(algorithm=algo, alpha=0.5, alpha_sign=sign)
+        for algo, algo_k in (("gaec", None), ("dgaec", k), ("dgaec-inc", None)):
+            cfg = SolverConfig(algorithm=algo, k=algo_k, alpha=0.5, alpha_sign=sign)
             trace[algo] = [(s.i, s.j, s.m, s.similarity) for s in solve(fm, cfg).trace]
         assert trace["dgaec"] == trace["gaec"]
         assert trace["dgaec-inc"] == trace["gaec"]

@@ -10,8 +10,9 @@ Usage, from the repository root::
 The default mode solves the three benchmark instances (the workloads of
 ``solverbench/bench.py``, built from each seed) with the four dense solvers
 under the benchmark's solver settings. ``--suite`` instead solves the 100
-``clustered_instance``\\ s of the test suite with ``dapplaec``, once seeded
-from an ``ExactIndex`` and once from the default index.
+``clustered_instance``\\ s of the test suite with ``dgaec``, with
+``dgaec-inc`` and with ``dapplaec``, the last once seeded from an
+``ExactIndex`` and once from the default index.
 
 Each solve prints one line with short digests of its merge pairs
 ``(i, j, m)``, its labels, its objective's bits and its similarities' bits.
@@ -75,18 +76,22 @@ def bench_solves(seeds: list[int]):
 
 
 def suite_solves():
-    """(key, solve thunk) for ``dapplaec`` on the test suite's clustered
-    instances, through an ``ExactIndex`` and through the default index."""
+    """(key, solve thunk) for the test suite's clustered instances: ``dgaec``
+    and ``dgaec-inc``, then ``dapplaec`` through an ``ExactIndex`` and
+    through the default index."""
     sys.path.insert(0, str(ROOT / "tests"))
     from conftest import clustered_instance
     from densemulticut.ann import ExactIndex
-    from densemulticut.solvers import SolverConfig, dense_app_laec
+    from densemulticut.solvers import SolverConfig, dense_app_laec, solve
 
     def exact(db, qr, params, seed):
         return ExactIndex(db, qr)
 
     for idx in range(SUITE_SIZE):
         fm, sign = clustered_instance(idx)
+        for alg in ("dgaec", "dgaec-inc"):
+            cfg = SolverConfig(algorithm=alg, alpha=0.4, alpha_sign=sign)
+            yield f"{alg} instance {idx}", (lambda fm=fm, cfg=cfg: solve(fm, cfg))
         cfg = SolverConfig(algorithm="dapplaec", alpha=0.4, alpha_sign=sign)
         for name, factory in (("exact-index", exact), ("default-index", None)):
             key = f"dapplaec {name} instance {idx}"
@@ -115,7 +120,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     p.add_argument("--suite", action="store_true",
-                   help="solve the test suite's clustered instances with dapplaec")
+                   help="solve the test suite's clustered instances with dgaec, "
+                   "dgaec-inc and dapplaec")
     p.add_argument("--save", type=Path, help="write the full records to this JSON file")
     p.add_argument("--against", type=Path, help="compare with records saved by --save")
     return p.parse_args(argv)
