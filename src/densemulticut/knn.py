@@ -13,7 +13,11 @@ the freed slot with no search. The incremental repair filters the merged
 node's neighbours from the union of its parents' neighbour lists via an
 upper bound on similarities to all other nodes. Both repair the rows of
 nodes that pointed at a parent as one block, with a single membership
-check for the merged node instead of a full search whenever possible.
+check for the merged node instead of a full search whenever possible, and
+make the searches they still need in one batched call. Each repair also
+computes the new queue entry of every row it changed, from the block, the
+merged node's ranked list and the search results it already holds, so the
+queue takes them without reading the graph again.
 
 Every ranking breaks similarity ties toward the smaller node id, and a
 selection cut to ``k`` first keeps every candidate tied with the k-th
@@ -36,6 +40,7 @@ on its column's position in the product.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -53,11 +58,16 @@ _GROUPS = 128
 _SMALL = 32
 
 
+def _rank_key(arc: tuple[int, float]) -> tuple[float, int]:
+    """Sort key of an ``(id, sim)`` pair: descending sim, ties by smaller id."""
+    return -arc[1], arc[0]
+
+
 def ranked(ids: np.ndarray, sims: np.ndarray, k: int) -> list[tuple[int, float]]:
     """Top-k of (ids, sims) sorted by descending sim, ties by smaller id;
     ``-inf`` entries never rank."""
     if ids.size <= _SMALL:
-        arcs = sorted(zip(ids.tolist(), sims.tolist()), key=lambda a: (-a[1], a[0]))[:k]
+        arcs = sorted(zip(ids.tolist(), sims.tolist()), key=_rank_key)[:k]
         while arcs and arcs[-1][1] == -INF:
             arcs.pop()
         return arcs
@@ -106,7 +116,9 @@ def select_rows(
     """
     r, c = sims.shape
     if k == 1 and c:
-        return _select_max(sims, ids)
+        best, top = _row_best(sims, ids)
+        best[top == -INF] = -1
+        return best[:, None], top[:, None]
     out_ids = np.full(r * k, -1, dtype=np.int64)
     out_sims = np.full(r * k, -INF)
     if r and c and k:
@@ -121,21 +133,31 @@ def select_rows(
     return out_ids.reshape(r, k), out_sims.reshape(r, k)
 
 
-def _select_max(sims: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The k = 1 case of :func:`select_rows`: each row's maximum and the
-    smallest id among the entries equal to it, with no integer block."""
+def _row_best(sims: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's maximum and the smallest id among the entries equal to it.
+
+    ``ids`` names the columns, either ``(c,)`` shared by all rows or
+    ``(rows, c)`` one per row. One argmax per row, then a count of the
+    entries equal to each maximum; argmax takes a row's first maximal
+    column, and the columns are not in id order, so only a row whose
+    maximum recurs needs the masked minimum over its ids. A row with no
+    finite entry gets ``-inf`` and the id of its first column, which is the
+    ``-1`` pad in a graph row. Returns ``(ids, sims)``, one entry per row.
+    """
     r = sims.shape[0]
+    rows = np.arange(r)
     pos = sims.argmax(axis=1)
-    top = sims[np.arange(r), pos]
-    best = ids[pos].astype(np.int64, copy=False)
-    # argmax takes a row's first maximal column, and the columns are not in
-    # id order, so only a row whose maximum recurs needs the id comparison
+    top = sims[rows, pos]
+    per_row = ids.ndim == 2
+    best = ids[rows, pos] if per_row else ids[pos]
     at_top = sims == top[:, None]
-    if np.count_nonzero(at_top) > r:
-        tied = np.flatnonzero(np.count_nonzero(at_top, axis=1) > 1)
-        best[tied] = np.where(at_top[tied], ids, ids.max()).min(axis=1)
-    best[top == -INF] = -1
-    return best[:, None], top[:, None]
+    n_top = np.count_nonzero(at_top)
+    # each of an empty row's c entries equals its -inf maximum; that is no tie
+    if n_top > r and n_top > r + (sims.shape[1] - 1) * np.count_nonzero(top == -INF):
+        tied = np.flatnonzero((np.count_nonzero(at_top, axis=1) > 1) & (top > -INF))
+        cand = ids[tied] if per_row else ids
+        best[tied] = np.where(at_top[tied], cand, cand.max()).min(axis=1)
+    return best, top
 
 
 def _above_threshold(
@@ -350,17 +372,6 @@ class NNGraph:
                 self.in_index.setdefault(t, set()).add(u)
         self.full_list[u] = from_full
 
-    def drop_node(self, x: int) -> None:
-        """Remove x's outgoing arcs and every arc pointing at x."""
-        if x < self.capacity:
-            self._clear_row(x)
-        srcs = self.in_index.pop(x, None)
-        if srcs:
-            rows = np.fromiter(srcs, dtype=np.int64, count=len(srcs))
-            r, c = np.nonzero(self.nbr[rows] == x)
-            self.nbr[rows[r], c] = -1
-            self.sim[rows[r], c] = -INF
-
     def validate(self, state: ContractionState, tol: float = 1e-9) -> None:
         """Assert structural invariants (tests only; O(arcs) plus recompute)."""
         transpose: dict[int, set[int]] = {}
@@ -386,18 +397,24 @@ class NNGraph:
 
 
 class ArcBatch:
-    """Arcs written by one graph update, plus every row the update changed.
+    """Arcs written by one graph update, plus the new queue entry of every
+    row the update changed.
 
     ``rows`` names the nodes whose arc lists changed, including nodes that
-    died; ``insertions`` counts the rows that received an arc to the merged
-    node without a search; iterating yields the written arcs as
+    died; ``best_sim``/``best_dst`` hold, per entry of ``rows``, the best
+    arc of that row as :meth:`CandidateQueue.refresh` would compute it; the
+    update fills them in, and they start as ``-inf``/``-1``, the entry of an
+    empty row. ``insertions`` counts the rows that received an arc to the
+    merged node without a search; iterating yields the written arcs as
     ``(src, dst, sim)``.
     """
 
-    __slots__ = ("rows", "insertions", "_parts")
+    __slots__ = ("rows", "best_sim", "best_dst", "insertions", "_parts")
 
     def __init__(self, rows: np.ndarray) -> None:
         self.rows = rows
+        self.best_sim = np.full(rows.size, -INF)
+        self.best_dst = np.full(rows.size, -1, dtype=np.int64)
         self.insertions = 0
         self._parts: list[tuple] = []
 
@@ -421,9 +438,11 @@ class CandidateQueue:
 
     ``best_sim[u]`` and ``best_dst[u]`` hold the highest-similarity arc of
     u's row, ties toward the smaller target id, or ``-inf`` and ``-1`` for
-    an empty row. Each entry is computed from the graph when u's row is
-    pushed; an entry whose endpoint has since died is refreshed lazily by
-    :func:`best_arc`. Its length is the number of nodes with a candidate.
+    an empty row. The graph updates compute the entries of the rows they
+    change from the blocks they already hold, and :meth:`push_many` writes
+    them; :meth:`refresh` recomputes entries from the graph, and
+    :func:`best_arc` uses it to refresh lazily an entry whose endpoint has
+    died. Its length is the number of nodes with a candidate.
     """
 
     def __init__(self) -> None:
@@ -433,26 +452,28 @@ class CandidateQueue:
     def __len__(self) -> int:
         return int(np.count_nonzero(self.best_sim > -INF))
 
+    def _reserve(self, cap: int) -> None:
+        grow = cap - self.best_sim.size
+        if grow > 0:
+            self.best_sim = np.concatenate([self.best_sim, np.full(grow, -INF)])
+            self.best_dst = np.concatenate([self.best_dst, np.full(grow, -1, dtype=np.int64)])
+
     def refresh(self, graph: NNGraph, rows, alive: np.ndarray | None = None) -> None:
         """Recompute the entries of ``rows`` from the graph; when ``alive``
         is given, only arcs between alive nodes count."""
-        cap = graph.capacity
-        if self.best_sim.size < cap:
-            grow = cap - self.best_sim.size
-            self.best_sim = np.concatenate([self.best_sim, np.full(grow, -INF)])
-            self.best_dst = np.concatenate([self.best_dst, np.full(grow, -1, dtype=np.int64)])
+        self._reserve(graph.capacity)
         nbr = graph.nbr[rows]
         sim = graph.sim[rows]
         if alive is not None:
             rows = np.asarray(rows, dtype=np.int64)
             sim = np.where(alive[nbr] & (nbr >= 0) & alive[rows, None], sim, -INF)
-        top = sim.max(axis=1)
-        self.best_sim[rows] = top
-        self.best_dst[rows] = np.where(sim == top[:, None], nbr, cap).min(axis=1)
+        self.best_dst[rows], self.best_sim[rows] = _row_best(sim, nbr)
 
     def push_many(self, graph: NNGraph, arcs: ArcBatch) -> None:
-        """Refresh the entries of every row an update changed."""
-        self.refresh(graph, arcs.rows)
+        """Write the entries an update computed for every row it changed."""
+        self._reserve(graph.capacity)
+        self.best_sim[arcs.rows] = arcs.best_sim
+        self.best_dst[arcs.rows] = arcs.best_dst
 
 
 def best_arc(
@@ -462,27 +483,38 @@ def best_arc(
 
     Takes the argmax of the per-node entries over every node id allocated
     so far; equal similarities break toward the smallest (min id, max id)
-    pair. Entries with a dead endpoint are refreshed and the selection
-    repeats. The winning pair is returned as (min id, max id).
+    pair, so the entries tied with the maximum are gathered only when the
+    maximum recurs. Entries with a dead endpoint are refreshed and the
+    selection repeats. The winning pair is returned as (min id, max id).
     """
     alive = state.alive
     n = state.n0 + state.forest.n_merges
     while True:
         sims = queue.best_sim[:n]
         dsts = queue.best_dst
-        u = int(np.argmax(sims)) if sims.size else 0
-        if not sims.size or sims[u] == -INF:
+        if not sims.size:
             return None
-        top = float(sims[u])
-        tied = np.flatnonzero(sims == top) if sims[u + 1 :].max(initial=-INF) == top else [u]
-        stale = [w for w in tied if not (alive[w] and alive[dsts[w]])]
+        u = sims.argmax().item()
+        top = sims.item(u)
+        if top == -INF:
+            return None
+        if sims[u + 1 :].max(initial=-INF) < top:
+            v = dsts.item(u)
+            if not (alive.item(u) and alive.item(v)):
+                queue.refresh(graph, [u], alive)
+                continue
+            if top < 0.0:
+                return None
+            return (u, v, top) if u < v else (v, u, top)
+        tied = (sims == top).nonzero()[0].tolist()
+        stale = [w for w in tied if not (alive.item(w) and alive.item(dsts.item(w)))]
         if stale:
             queue.refresh(graph, stale, alive)
             continue
         if top < 0.0:
             return None
-        lo, hi = min((min(w, int(dsts[w])), max(w, int(dsts[w]))) for w in tied)
-        return int(lo), int(hi), top
+        lo, hi = min(sorted((w, dsts.item(w))) for w in tied)
+        return lo, hi, top
 
 
 def build_nn_graph(state: ContractionState, k: int) -> tuple[NNGraph, CandidateQueue]:
@@ -521,6 +553,21 @@ def _bound(k: int, *rows: tuple[list[tuple[int, float]], bool]) -> float:
     return total
 
 
+def _in_neighbours(graph: NNGraph, i: int, j: int, m: int) -> np.ndarray:
+    """Pop the in-sets of i and j, whose rows are already empty; returns
+    ``[i, j, m]`` followed by the sorted ids of the nodes that listed i or j.
+
+    Neither parent is in the other's in-set, since both rows are empty. The
+    ids are sorted because the block product over their rows can round
+    differently in another row order.
+    """
+    nin = graph.in_index.pop(i, set())
+    nin.update(graph.in_index.pop(j, ()))
+    rows = np.fromiter(chain((i, j, m), nin), dtype=np.int64, count=len(nin) + 3)
+    rows[3:].sort()
+    return rows
+
+
 def incremental_update(
     graph: NNGraph,
     state: ContractionState,
@@ -537,69 +584,80 @@ def incremental_update(
     exhaustive search unless ``lazy``. Nodes that listed i or j keep their
     surviving arcs and receive an arc to ``m`` when it provably belongs in
     their list; otherwise they are re-searched (or, when ``lazy``, left
-    with whatever survived). Returns (the arcs written, number of
-    exhaustive searches performed).
+    with whatever survived). The searches, m's included, are one batched
+    call. The batch carries every changed row's new queue entry, taken from
+    the repaired block, m's ranked list or the search results. Returns (the
+    arcs written, number of exhaustive searches performed).
     """
     state.check_alive(m)
+    k = graph.k
     full = (bool(graph.full_list[i]), bool(graph.full_list[j]))
     arcs_i, arcs_j = graph._clear_row(i), graph._clear_row(j)
-    nin = (graph.in_index.pop(i, set()) | graph.in_index.pop(j, set())) - {i, j}
-    bound = _bound(graph.k, (arcs_i, full[0]), (arcs_j, full[1]))
-    union_targets = {t for t, _ in arcs_i} | {t for t, _ in arcs_j}
-
-    in_nbrs = sorted(nin)
-    q_ids = np.array(in_nbrs, dtype=np.int64)
-    batch = ArcBatch(np.array([i, j, m, *in_nbrs], dtype=np.int64))
+    rows = _in_neighbours(graph, i, j, m)
+    q_ids = rows[3:]
+    batch = ArcBatch(rows)
+    best_sim, best_dst = batch.best_sim, batch.best_dst
     searches = 0
 
-    cand = np.array(sorted(t for t in union_targets if state.alive[t]), dtype=np.int64)
+    bound = _bound(k, (arcs_i, full[0]), (arcs_j, full[1]))
+    alive = state.alive
+    cand = sorted({t for t, _ in arcs_i + arcs_j if alive[t]})
     merged_arcs: list[tuple[int, float]] = []
-    if cand.size:
-        sims = state.sims_to(m, cand)
-        passing = sims >= bound
-        if passing.any():
-            merged_arcs = ranked(cand[passing], sims[passing], graph.k)
-    if not merged_arcs and not lazy:
-        merged_arcs = topk_exact(state, m, graph.k)
-        searches += 1
-        graph.set_arcs(m, merged_arcs, from_full=True)
-    else:
+    if cand:
+        sims = state.sims_to(m, cand).tolist()
+        passing = [(t, s) for t, s in zip(cand, sims) if s >= bound]
+        merged_arcs = sorted(passing, key=_rank_key)[:k]
+    search_m = not merged_arcs and not lazy
+    if not search_m:
         graph.set_arcs(m, merged_arcs, from_full=False)
-    batch.add(m, [t for t, _ in merged_arcs], [s for _, s in merged_arcs])
+        if merged_arcs:
+            best_dst[2], best_sim[2] = merged_arcs[0]
+            batch.add(m, [t for t, _ in merged_arcs], [s for _, s in merged_arcs])
 
+    pending = q_ids[:0]
     if q_ids.size:
         # the in-neighbour rows as one block: drop the arcs to i and j, then
         # give each row an arc to m where m is more similar than its weakest
-        # surviving arc; a row lost an arc, so a slot is free. The test is
-        # strict because m has the largest id, so an unlisted node tied with
-        # the weakest arc outranks it
+        # surviving arc; m takes a column a parent left. The test is strict
+        # because m has the largest id, so an unlisted node tied with the
+        # weakest arc outranks it
         nbr = graph.nbr[q_ids]
         sim = graph.sim[q_ids]
         gone = (nbr == i) | (nbr == j)
         nbr[gone] = -1
         sim[gone] = -INF
-        live = nbr >= 0
-        weakest = np.where(live, sim, INF).min(axis=1)
+        surviving = np.where(nbr >= 0, sim, INF)
+        weakest = surviving[np.arange(q_ids.size), surviving.argmin(axis=1)]
         sims_qm = state.db[m] @ state.qr[q_ids].T
         passes = sims_qm > weakest
         add = passes.nonzero()[0]
         if add.size:
-            slot = live[add].argmin(axis=1)
-            nbr[add, slot] = m
-            sim[add, slot] = sims_qm[add]
+            col = gone.argmax(axis=1)[add]
+            nbr[add, col] = m
+            sim_add = sims_qm[add]
+            sim[add, col] = sim_add
             q_add = q_ids[add]
-            graph.in_index.setdefault(m, set()).update(q_add.tolist())
-            batch.add(q_add, m, sim[add, slot])
+            graph.in_index[m] = set(q_add.tolist())
+            batch.add(q_add, m, sim_add)
             batch.insertions = add.size
         graph.nbr[q_ids] = nbr
         graph.sim[q_ids] = sim
+        best_dst[3:], best_sim[3:] = _row_best(sim, nbr)
         if not lazy:
-            pending = q_ids[~passes]
-            if pending.size:
-                lists = topk_batch(state, pending, graph.k)
-                searches += pending.size
-                graph.set_rows(pending, lists.ids, lists.sims, from_full=True)
-                batch.add(pending[:, None], lists.ids, lists.sims)
+            failed = ~passes
+            pending = q_ids[failed]
+    queries = np.concatenate(([m], pending)) if search_m else pending
+    if queries.size:
+        lists = topk_batch(state, queries, k)
+        searches = queries.size
+        graph.set_rows(queries, lists.ids, lists.sims, from_full=True)
+        batch.add(queries[:, None], lists.ids, lists.sims)
+        firsts_dst, firsts_sim = lists.ids[:, 0], lists.sims[:, 0]
+        if search_m:
+            best_dst[2], best_sim[2] = firsts_dst[0], firsts_sim[0]
+        if pending.size:
+            best_dst[3:][failed] = firsts_dst[int(search_m) :]
+            best_sim[3:][failed] = firsts_sim[int(search_m) :]
     return batch, searches
 
 
@@ -622,31 +680,40 @@ def exhaustive_update(
     parent, at no search. A row shorter than k lists every node it was
     ranked against; its ``-inf`` pad certifies it whenever it lost one arc.
     The rows are repaired as one block, with one batched search for m and
-    the uncertified rows. Returns (the arcs written, number of exhaustive
-    searches performed).
+    the uncertified rows, and the batch carries every changed row's new
+    queue entry, taken from the repaired block or the search results.
+    Returns (the arcs written, number of exhaustive searches performed).
     """
     state.check_alive(m)
     graph._clear_row(i)
     graph._clear_row(j)
-    nin = graph.in_index.pop(i, set()) | graph.in_index.pop(j, set())
-    in_nbrs = sorted(nin)
-    q_ids = np.array(in_nbrs, dtype=np.int64)
+    rows = _in_neighbours(graph, i, j, m)
+    q_ids = rows[3:]
     nbr = graph.nbr[q_ids]
+    sim = graph.sim[q_ids]
     row, col = np.nonzero((nbr == i) | (nbr == j))
-    weakest = graph.sim[q_ids].min(axis=1)
+    weakest = sim[np.arange(q_ids.size), sim.argmin(axis=1)]
     sims_qm = state.db[m] @ state.qr[q_ids].T
     certified = (np.bincount(row, minlength=q_ids.size) == 1) & (sims_qm > weakest)
     won = certified[row]
-    graph.nbr[q_ids[row], col] = np.where(won, m, -1)
-    graph.sim[q_ids[row], col] = np.where(won, sims_qm[row], -INF)
+    nbr[row, col] = np.where(won, m, -1)
+    sim[row, col] = np.where(won, sims_qm[row], -INF)
+    graph.nbr[q_ids] = nbr
+    graph.sim[q_ids] = sim
     q_cert = q_ids[certified]
     graph.in_index[m] = set(q_cert.tolist())
 
-    queries = np.concatenate([[m], q_ids[~certified]])
+    failed = ~certified
+    queries = np.concatenate(([m], q_ids[failed]))
     lists = topk_batch(state, queries, graph.k)
     graph.set_rows(queries, lists.ids, lists.sims, from_full=True)
-    batch = ArcBatch(np.array([i, j, m, *in_nbrs], dtype=np.int64))
+    batch = ArcBatch(rows)
     batch.add(q_cert, m, sims_qm[certified])
     batch.add(queries[:, None], lists.ids, lists.sims)
     batch.insertions = q_cert.size
+    best_sim, best_dst = batch.best_sim, batch.best_dst
+    best_dst[2], best_sim[2] = lists.ids[0, 0], lists.sims[0, 0]
+    best_dst[3:], best_sim[3:] = _row_best(sim, nbr)
+    best_dst[3:][failed] = lists.ids[1:, 0]
+    best_sim[3:][failed] = lists.sims[1:, 0]
     return batch, queries.size

@@ -1,5 +1,6 @@
 """Array-backed NN graph, per-node candidate queue, block top-k, the
-selection helper and the tie contract under exact similarity ties."""
+selection helper, the queue entries the graph updates compute and the tie
+contract under exact similarity ties."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 
 from densemulticut.core import AlphaSign, ContractionState, FeatureMatrix
 from densemulticut.knn import (
+    CandidateQueue,
     NNGraph,
     best_arc,
     build_nn_graph,
+    exhaustive_update,
+    incremental_update,
     select_rows,
     topk_batch,
     topk_exact,
@@ -187,8 +191,10 @@ class TestArrayGraph:
         stale = [u for u in pointing - {i, j} if queue.best_dst[u] in (i, j)]
         assert stale, "instance should leave some cached bests pointing at i or j"
         m = state.contract(i, j)
-        graph.drop_node(i)
-        graph.drop_node(j)
+        # drop i's and j's rows and every arc pointing at them
+        for u in pointing | {i, j}:
+            kept = [] if u in (i, j) else [a for a in graph.arcs(u) if a[0] not in (i, j)]
+            graph.set_arcs(u, kept, from_full=bool(graph.full_list[u]) and u not in (i, j))
         graph.set_arcs(m, [], from_full=False)
         # nothing is pushed: the cached bests of i, j and of the nodes that
         # pointed at them are stale, and best_arc must look past them
@@ -201,6 +207,74 @@ class TestArrayGraph:
         assert got is not None
         assert got == (-want[1], -want[2], want[0])
         assert state.alive[got[0]] and state.alive[got[1]]
+
+
+def brute_best_arc(graph, state):
+    """Scan every arc of every alive row: the largest similarity, ties
+    toward the smallest (min id, max id) pair; ``None`` below zero."""
+    arcs = [
+        (s, -min(u, t), -max(u, t))
+        for u in state.alive_ids().tolist()
+        for t, s in graph.arcs(u)
+    ]
+    if not arcs or max(arcs)[0] < 0.0:
+        return None
+    s, lo, hi = max(arcs)
+    return -lo, -hi, s
+
+
+def brute_entries(graph, ids):
+    """Each row's best arc by a scan of its arcs, ties toward the smaller
+    target; ``(-inf, -1)`` for an empty row."""
+    sims, dsts = [], []
+    for u in ids.tolist():
+        s, t = max(((s, -t) for t, s in graph.arcs(u)), default=(-np.inf, 1))
+        sims.append(s)
+        dsts.append(-t)
+    return np.array(sims), np.array(dsts)
+
+
+class TestUpdateEntries:
+    # the repairs compute the queue entries of the rows they change from
+    # their own blocks; after every merge of a random sequence they must
+    # equal entries recomputed from the repaired graph
+    @pytest.mark.parametrize("update", ["incremental", "lazy", "exhaustive"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(2, 36),
+        d=st.integers(1, 3),
+        values=st.sampled_from(["integer", "continuous"]),
+        sign=st.sampled_from([AlphaSign.PLUS, AlphaSign.MINUS, AlphaSign.OFF]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_entries_equal_a_fresh_refresh(self, update, k, n, d, values, sign, seed):
+        rng = np.random.default_rng(seed)
+        if values == "integer":
+            rows = rng.integers(-2, 3, size=(n, d))
+        else:
+            rows = rng.normal(size=(n, d))
+        state = ContractionState(
+            FeatureMatrix(rows.astype(np.float32)).with_affinity(0.5, sign)
+        )
+        graph, queue = build_nn_graph(state, k)
+        while state.n_alive > 1:
+            i, j = (int(x) for x in rng.choice(state.alive_ids(), size=2, replace=False))
+            m = state.contract(i, j)
+            if update == "exhaustive":
+                batch, _ = exhaustive_update(graph, state, i, j, m)
+            else:
+                batch, _ = incremental_update(graph, state, i, j, m, lazy=update == "lazy")
+            queue.push_many(graph, batch)
+            ids = np.arange(state.n0 + state.forest.n_merges)
+            fresh = CandidateQueue()
+            fresh.refresh(graph, ids)
+            np.testing.assert_array_equal(queue.best_sim[ids], fresh.best_sim[ids])
+            np.testing.assert_array_equal(queue.best_dst[ids], fresh.best_dst[ids])
+            want_sim, want_dst = brute_entries(graph, ids)
+            np.testing.assert_array_equal(fresh.best_sim[ids], want_sim)
+            np.testing.assert_array_equal(fresh.best_dst[ids], want_dst)
+            assert best_arc(graph, queue, state) == brute_best_arc(graph, state)
 
 
 class TestTieContract:

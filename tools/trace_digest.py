@@ -10,8 +10,8 @@ Usage, from the repository root::
 The default mode solves the three benchmark instances (the workloads of
 ``solverbench/bench.py``, built from each seed) with the four dense solvers
 under the benchmark's solver settings. ``--suite`` instead solves the 100
-``clustered_instance``\\ s of the test suite with ``dgaec``, with
-``dgaec-inc`` and with ``dapplaec``, the last once seeded from an
+``clustered_instance``\\ s of the test suite with ``dgaec``,
+``dgaec-inc``, ``dlaec`` and ``dapplaec``, the last once seeded from an
 ``ExactIndex`` and once from the default index.
 
 Each solve prints one line with short digests of its merge pairs
@@ -76,9 +76,9 @@ def bench_solves(seeds: list[int]):
 
 
 def suite_solves():
-    """(key, solve thunk) for the test suite's clustered instances: ``dgaec``
-    and ``dgaec-inc``, then ``dapplaec`` through an ``ExactIndex`` and
-    through the default index."""
+    """(key, solve thunk) for the test suite's clustered instances: ``dgaec``,
+    ``dgaec-inc`` and ``dlaec``, then ``dapplaec`` through an ``ExactIndex``
+    and through the default index."""
     sys.path.insert(0, str(ROOT / "tests"))
     from conftest import clustered_instance
     from densemulticut.ann import ExactIndex
@@ -89,7 +89,7 @@ def suite_solves():
 
     for idx in range(SUITE_SIZE):
         fm, sign = clustered_instance(idx)
-        for alg in ("dgaec", "dgaec-inc"):
+        for alg in ("dgaec", "dgaec-inc", "dlaec"):
             cfg = SolverConfig(algorithm=alg, alpha=0.4, alpha_sign=sign)
             yield f"{alg} instance {idx}", (lambda fm=fm, cfg=cfg: solve(fm, cfg))
         cfg = SolverConfig(algorithm="dapplaec", alpha=0.4, alpha_sign=sign)
@@ -121,7 +121,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     p.add_argument("--suite", action="store_true",
                    help="solve the test suite's clustered instances with dgaec, "
-                   "dgaec-inc and dapplaec")
+                   "dgaec-inc, dlaec and dapplaec")
     p.add_argument("--save", type=Path, help="write the full records to this JSON file")
     p.add_argument("--against", type=Path, help="compare with records saved by --save")
     return p.parse_args(argv)
