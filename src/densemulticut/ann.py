@@ -53,7 +53,12 @@ class AnnIndex(abc.ABC):
 
 
 class ExactIndex(AnnIndex):
-    """Brute-force reference implementation of the index interface."""
+    """Brute-force reference implementation of the index interface.
+
+    Contiguous float64 rows are kept as given, not copied: an index built
+    over a contraction state's packed rows sees every later contraction,
+    so it must not outlive the initial graph.
+    """
 
     exact = True
 

@@ -12,10 +12,10 @@ cut by a partition is ``1/2 * sum_c Q_c . (D - D_c)``, where ``Q_c`` and
 the sum of all database rows, so scoring a partition takes O(n*d) rather
 than O(n^2*d).
 
-The solver workspace keeps every node's 64-bit row by id, ``2n - 1`` rows
-(and as many query rows again when the affinity sign is MINUS), and also
-the alive database rows packed at the front of one ``n``-row array, so an
-exact search multiplies against the alive rows without gathering them.
+The solver workspace keeps only the current clusters' 64-bit rows, packed
+at the front of one ``n``-row array (and one more for the query rows when
+the affinity sign is MINUS), so an exact search multiplies against the
+alive rows without gathering them.
 
 Features are stored in 32-bit precision; all similarity arithmetic is
 accumulated in 64-bit.
@@ -24,7 +24,7 @@ accumulated in 64-bit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -289,21 +289,19 @@ def similarity(fm: FeatureMatrix, i: int, j: int) -> float:
 class ContractionState:
     """Mutable solver workspace over an immutable :class:`FeatureMatrix`.
 
-    Holds 64-bit extended feature rows (affinity column folded in) with
-    capacity for every merged node, the aliveness mask, and the merge
-    forest. ``db`` and ``qr`` keep all ``2n - 1`` rows, dead ones included,
-    indexed by node id; ``qr`` is ``db`` itself unless the affinity sign is
-    MINUS.
-
-    The alive database rows are also kept packed at the front of one
-    ``(n0, dim)`` array, ``packed``, so an exact search multiplies straight
-    against ``packed[:n_alive]`` with no gather. ``order[p]`` is the id in
-    slot ``p`` and ``slot[u]`` the slot of id ``u`` (``-1`` once ``u`` is
-    dead); packed order is not ascending id order. A contraction keeps them
-    in step in O(d): the merged node takes i's slot and the last alive row
-    moves into j's slot. Memory: ``2n - 1`` float64 rows of ``db``, as many
-    again of ``qr`` under MINUS, plus ``n0`` packed rows from the first
-    contraction on (before it, ``packed`` is a view of ``db[:n0]``).
+    Holds the 64-bit extended feature rows (affinity column folded in) of
+    the alive nodes only, the aliveness mask and the merge forest. The
+    database rows are packed at the front of one ``(n0, dim)`` array,
+    ``packed``, so an exact search multiplies straight against
+    ``packed[:n_alive]`` with no gather; ``packed_q`` holds the query rows
+    in the same slots and is ``packed`` itself unless the affinity sign is
+    MINUS. ``order[p]`` is the id in slot ``p`` and ``slot[u]`` the slot of
+    id ``u`` (``-1`` once ``u`` is dead); every read of a node's row goes
+    through ``slot``. Until the first contraction the slots are the ids;
+    after it packed order is not ascending id order. A contraction sums the
+    merged rows into i's slot, which the merged node takes, and moves the
+    last alive row into j's slot, in O(d). Memory: ``n0`` float64 rows,
+    doubled under MINUS, taken from :func:`_extended_rows` without a copy.
 
     Mutation is single-writer; reads of the immutable input may be shared
     across threads.
@@ -313,22 +311,10 @@ class ContractionState:
         self.fm = fm
         self.sign = fm.alpha_sign
         n = fm.n
-        cap = 2 * n - 1
-        qr0, db0 = _extended_rows(fm)
-        self.dim = db0.shape[1]
-        self.db = np.zeros((cap, self.dim), dtype=np.float64)
-        self.db[:n] = db0
-        if qr0 is db0:
-            self.qr = self.db
-        else:
-            self.qr = np.zeros((cap, self.dim), dtype=np.float64)
-            self.qr[:n] = qr0
-        # until the first contraction the alive rows are exactly db[:n] in
-        # id order, so packed starts as that view and contract() copies it;
-        # building the initial graph then holds no extra rows
-        self.packed = self.db[:n]
+        self.packed_q, self.packed = _extended_rows(fm)
+        self.dim = self.packed.shape[1]
         self.order = np.arange(n, dtype=np.int64)
-        self.slot = np.full(cap, -1, dtype=np.int64)
+        self.slot = np.full(2 * n - 1, -1, dtype=np.int64)
         self.slot[:n] = self.order
         self.forest = ContractionForest(n)
         self.alive = self.forest.alive
@@ -349,28 +335,27 @@ class ContractionState:
         return np.flatnonzero(self.alive)
 
     def sim(self, i: int, j: int) -> float:
-        return float(np.dot(self.qr[i], self.db[j]))
+        si, sj = self.slot.item(i), self.slot.item(j)
+        if si < 0 or sj < 0:
+            raise StateError(f"node {i if si < 0 else j} is not alive")
+        return float(np.dot(self.packed_q[si], self.packed[sj]))
 
     def sims_to(self, q: int, ids: np.ndarray) -> np.ndarray:
-        """Similarities from query node ``q`` to each node in ``ids``."""
-        return self.db[ids] @ self.qr[q]
+        """Similarities from alive query node ``q`` to each alive node in
+        ``ids``."""
+        return self.packed[self.slot[ids]] @ self.packed_q[self.slot.item(q)]
 
     def contract(self, i: int, j: int) -> int:
         """Contract nodes ``i`` and ``j``; returns the fresh merged id."""
         # the forest rejects i == j and dead ends before any row is written
         m = self.forest.merge(i, j)
-        if self.packed.base is self.db:
-            self.packed = self.packed.copy()
-        db, packed, order, slot = self.db, self.packed, self.order, self.slot
-        row = db[m]
-        np.add(db[i], db[j], out=row)
-        if self.qr is not db:
-            qr = self.qr
-            np.add(qr[i], qr[j], out=qr[m])
+        packed, packed_q, order, slot = self.packed, self.packed_q, self.order, self.slot
         si, sj = slot.item(i), slot.item(j)
+        np.add(packed[si], packed[sj], out=packed[si])
+        if packed_q is not packed:
+            np.add(packed_q[si], packed_q[sj], out=packed_q[si])
         # one alive node fewer: slot ``last`` falls out of packed[:n_alive]
         last = self.n_alive
-        packed[si] = row
         order[si] = m
         slot[m] = si
         slot[i] = -1
@@ -380,6 +365,8 @@ class ContractionState:
             # fills the hole j left
             moved = order.item(last)
             packed[sj] = packed[last]
+            if packed_q is not packed:
+                packed_q[sj] = packed_q[last]
             order[sj] = moved
             slot[moved] = sj
         return m

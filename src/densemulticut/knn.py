@@ -30,11 +30,14 @@ above it are gathered and sorted, and the selection stays exact. At k = 1
 that bound is the row maximum itself, so the cut is a row maximum plus the
 smallest id among the entries equal to it.
 
-The exact searches multiply query rows straight against the contraction
-state's packed alive rows (``ContractionState.packed``), whose columns are
-not in id order. The selection ranks ids in any order, so the order of
-the columns changes no ranking; a similarity's last bits can still depend
-on its column's position in the product.
+The contraction state holds the alive nodes' rows only, packed in slots
+(``ContractionState.packed`` and ``packed_q``), and every read of a row
+goes through ``ContractionState.slot``. The exact searches multiply query
+rows straight against ``packed[:n_alive]``, whose columns are not in id
+order. The selection ranks ids in any order, so the order of the columns
+changes no ranking; a similarity's last bits can still depend on its
+column's position in the product. The graph and the queue are allocated
+once, one row per node id the solve can create.
 """
 
 from __future__ import annotations
@@ -264,25 +267,25 @@ def topk_exact(state: ContractionState, query: int, k: int) -> list[tuple[int, f
         raise ArgumentError("k must be at least 1")
     state.check_alive(query)
     n = state.n_alive
-    sims = state.packed[:n] @ state.qr[query]
-    sims[state.slot[query]] = -INF
+    pos = state.slot.item(query)
+    sims = state.packed[:n] @ state.packed_q[pos]
+    sims[pos] = -INF
     return ranked(state.order[:n], sims, k)
 
 
 def topk_batch(state: ContractionState, queries: np.ndarray, k: int) -> NeighbourLists:
     """Exact top-k among alive nodes for many query nodes at once.
 
-    A query is never its own neighbour; a query that is not alive is
-    ranked against every alive node. The queries are multiplied straight
-    against the packed alive rows, ``state.order`` names their columns and
-    ``state.slot`` gives each alive query the column it must skip, so no
-    alive-id list is rebuilt and no database row is gathered.
+    Every query must be alive, since only alive nodes have rows, and is
+    never its own neighbour. ``state.slot`` gives each query its row of
+    ``state.packed_q`` and the column it must skip; the queries are
+    multiplied straight against the packed alive rows and ``state.order``
+    names their columns, so no alive-id list is rebuilt and no database row
+    is gathered.
     """
-    queries = np.asarray(queries, dtype=np.int64)
+    pos = state.slot[np.asarray(queries, dtype=np.int64)]
     n = state.n_alive
-    return block_topk(
-        state.qr, queries, state.packed[:n], state.order[:n], state.slot[queries], k
-    )
+    return block_topk(state.packed_q, pos, state.packed[:n], state.order[:n], pos, k)
 
 
 class NNGraph:
@@ -294,10 +297,11 @@ class NNGraph:
     ``in_index`` maps a node to the set of nodes that point at it.
     ``full_list[u]`` records whether u's list was produced by an exhaustive
     search; the contraction bound falls back to a +inf sentinel for short
-    lists of other provenance. Rows grow on demand past ``capacity``.
+    lists of other provenance. ``capacity`` rows are allocated up front,
+    one per node id the solve can create.
     """
 
-    def __init__(self, k: int, capacity: int = 0) -> None:
+    def __init__(self, k: int, capacity: int) -> None:
         if k < 1:
             raise ArgumentError("k must be at least 1")
         self.k = k
@@ -310,18 +314,7 @@ class NNGraph:
     def capacity(self) -> int:
         return self.nbr.shape[0]
 
-    def _reserve(self, n: int) -> None:
-        cap = self.capacity
-        if n <= cap:
-            return
-        new = max(n, 2 * cap)
-        self.nbr = np.concatenate([self.nbr, np.full((new - cap, self.k), -1, dtype=np.int64)])
-        self.sim = np.concatenate([self.sim, np.full((new - cap, self.k), -INF)])
-        self.full_list = np.concatenate([self.full_list, np.zeros(new - cap, dtype=bool)])
-
     def arcs(self, u: int) -> list[tuple[int, float]]:
-        if u >= self.capacity:
-            return []
         return [(t, s) for t, s in zip(self.nbr[u].tolist(), self.sim[u].tolist()) if t >= 0]
 
     def targets(self, u: int) -> list[int]:
@@ -348,7 +341,6 @@ class NNGraph:
 
         ``ids`` and ``sims`` are padded ``(len(rows), w)`` arrays, ``w <= k``.
         """
-        self._reserve(int(rows.max()) + 1 if rows.size else 0)
         for u in rows[(self.nbr[rows] >= 0).any(axis=1)].tolist():
             self._clear_row(u)
         w = ids.shape[1]
@@ -362,7 +354,6 @@ class NNGraph:
 
     def set_arcs(self, u: int, arcs: list[tuple[int, float]], *, from_full: bool) -> None:
         """Replace u's outgoing arcs wholesale."""
-        self._reserve(u + 1)
         self._clear_row(u)
         if arcs:
             ids = [t for t, _ in arcs]
@@ -397,40 +388,27 @@ class NNGraph:
 
 
 class ArcBatch:
-    """Arcs written by one graph update, plus the new queue entry of every
-    row the update changed.
+    """The new queue entry of every row one graph update changed.
 
     ``rows`` names the nodes whose arc lists changed, including nodes that
     died; ``best_sim``/``best_dst`` hold, per entry of ``rows``, the best
     arc of that row as :meth:`CandidateQueue.refresh` would compute it; the
     update fills them in, and they start as ``-inf``/``-1``, the entry of an
     empty row. ``insertions`` counts the rows that received an arc to the
-    merged node without a search; iterating yields the written arcs as
-    ``(src, dst, sim)``.
+    merged node without a search. Its length is the number of queue entries
+    :meth:`CandidateQueue.push_many` writes.
     """
 
-    __slots__ = ("rows", "best_sim", "best_dst", "insertions", "_parts")
+    __slots__ = ("rows", "best_sim", "best_dst", "insertions")
 
     def __init__(self, rows: np.ndarray) -> None:
         self.rows = rows
         self.best_sim = np.full(rows.size, -INF)
         self.best_dst = np.full(rows.size, -1, dtype=np.int64)
         self.insertions = 0
-        self._parts: list[tuple] = []
-
-    def add(self, src, dst, sim) -> None:
-        """Record arcs given as arrays or scalars that broadcast to the
-        shape of ``sim``; entries with ``sim == -inf`` are padding."""
-        self._parts.append((src, dst, sim))
 
     def __len__(self) -> int:
-        return sum(int(np.count_nonzero(np.asarray(sim) > -INF)) for _, _, sim in self._parts)
-
-    def __iter__(self):
-        for part in self._parts:
-            src, dst, sim = np.broadcast_arrays(*part)
-            keep = sim > -INF
-            yield from zip(src[keep].tolist(), dst[keep].tolist(), sim[keep].tolist())
+        return self.rows.size
 
 
 class CandidateQueue:
@@ -442,26 +420,20 @@ class CandidateQueue:
     change from the blocks they already hold, and :meth:`push_many` writes
     them; :meth:`refresh` recomputes entries from the graph, and
     :func:`best_arc` uses it to refresh lazily an entry whose endpoint has
-    died. Its length is the number of nodes with a candidate.
+    died. ``capacity`` entries are allocated up front, one per node id the
+    solve can create. Its length is the number of nodes with a candidate.
     """
 
-    def __init__(self) -> None:
-        self.best_sim = np.full(0, -INF)
-        self.best_dst = np.full(0, -1, dtype=np.int64)
+    def __init__(self, capacity: int) -> None:
+        self.best_sim = np.full(capacity, -INF)
+        self.best_dst = np.full(capacity, -1, dtype=np.int64)
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.best_sim > -INF))
 
-    def _reserve(self, cap: int) -> None:
-        grow = cap - self.best_sim.size
-        if grow > 0:
-            self.best_sim = np.concatenate([self.best_sim, np.full(grow, -INF)])
-            self.best_dst = np.concatenate([self.best_dst, np.full(grow, -1, dtype=np.int64)])
-
     def refresh(self, graph: NNGraph, rows, alive: np.ndarray | None = None) -> None:
         """Recompute the entries of ``rows`` from the graph; when ``alive``
         is given, only arcs between alive nodes count."""
-        self._reserve(graph.capacity)
         nbr = graph.nbr[rows]
         sim = graph.sim[rows]
         if alive is not None:
@@ -470,8 +442,8 @@ class CandidateQueue:
         self.best_dst[rows], self.best_sim[rows] = _row_best(sim, nbr)
 
     def push_many(self, graph: NNGraph, arcs: ArcBatch) -> None:
-        """Write the entries an update computed for every row it changed."""
-        self._reserve(graph.capacity)
+        """Write the entries an update computed for every row it changed;
+        ``graph`` is not read."""
         self.best_sim[arcs.rows] = arcs.best_sim
         self.best_dst[arcs.rows] = arcs.best_dst
 
@@ -492,8 +464,6 @@ def best_arc(
     while True:
         sims = queue.best_sim[:n]
         dsts = queue.best_dst
-        if not sims.size:
-            return None
         u = sims.argmax().item()
         top = sims.item(u)
         if top == -INF:
@@ -519,8 +489,8 @@ def best_arc(
 
 def build_nn_graph(state: ContractionState, k: int) -> tuple[NNGraph, CandidateQueue]:
     """Exact NN graph over all alive nodes plus a fully populated queue."""
-    graph = NNGraph(k, capacity=state.db.shape[0])
-    queue = CandidateQueue()
+    graph = NNGraph(k, state.slot.size)
+    queue = CandidateQueue(state.slot.size)
     alive = state.alive_ids()
     if alive.size >= 2:
         lists = topk_batch(state, alive, k)
@@ -539,9 +509,7 @@ def contraction_bound(graph: NNGraph, i: int, j: int) -> float:
     are shorter than k and were not produced by exhaustive search cannot
     certify the bound, so the +inf sentinel is returned.
     """
-    return _bound(
-        graph.k, *((graph.arcs(u), u < graph.capacity and graph.full_list[u]) for u in (i, j))
-    )
+    return _bound(graph.k, *((graph.arcs(u), graph.full_list[u]) for u in (i, j)))
 
 
 def _bound(k: int, *rows: tuple[list[tuple[int, float]], bool]) -> float:
@@ -587,7 +555,7 @@ def incremental_update(
     with whatever survived). The searches, m's included, are one batched
     call. The batch carries every changed row's new queue entry, taken from
     the repaired block, m's ranked list or the search results. Returns (the
-    arcs written, number of exhaustive searches performed).
+    batch, number of exhaustive searches performed).
     """
     state.check_alive(m)
     k = graph.k
@@ -612,7 +580,6 @@ def incremental_update(
         graph.set_arcs(m, merged_arcs, from_full=False)
         if merged_arcs:
             best_dst[2], best_sim[2] = merged_arcs[0]
-            batch.add(m, [t for t, _ in merged_arcs], [s for _, s in merged_arcs])
 
     pending = q_ids[:0]
     if q_ids.size:
@@ -628,17 +595,14 @@ def incremental_update(
         sim[gone] = -INF
         surviving = np.where(nbr >= 0, sim, INF)
         weakest = surviving[np.arange(q_ids.size), surviving.argmin(axis=1)]
-        sims_qm = state.db[m] @ state.qr[q_ids].T
+        sims_qm = state.packed[state.slot.item(m)] @ state.packed_q[state.slot[q_ids]].T
         passes = sims_qm > weakest
         add = passes.nonzero()[0]
         if add.size:
             col = gone.argmax(axis=1)[add]
             nbr[add, col] = m
-            sim_add = sims_qm[add]
-            sim[add, col] = sim_add
-            q_add = q_ids[add]
-            graph.in_index[m] = set(q_add.tolist())
-            batch.add(q_add, m, sim_add)
+            sim[add, col] = sims_qm[add]
+            graph.in_index[m] = set(q_ids[add].tolist())
             batch.insertions = add.size
         graph.nbr[q_ids] = nbr
         graph.sim[q_ids] = sim
@@ -651,7 +615,6 @@ def incremental_update(
         lists = topk_batch(state, queries, k)
         searches = queries.size
         graph.set_rows(queries, lists.ids, lists.sims, from_full=True)
-        batch.add(queries[:, None], lists.ids, lists.sims)
         firsts_dst, firsts_sim = lists.ids[:, 0], lists.sims[:, 0]
         if search_m:
             best_dst[2], best_sim[2] = firsts_dst[0], firsts_sim[0]
@@ -682,7 +645,7 @@ def exhaustive_update(
     The rows are repaired as one block, with one batched search for m and
     the uncertified rows, and the batch carries every changed row's new
     queue entry, taken from the repaired block or the search results.
-    Returns (the arcs written, number of exhaustive searches performed).
+    Returns (the batch, number of exhaustive searches performed).
     """
     state.check_alive(m)
     graph._clear_row(i)
@@ -693,7 +656,7 @@ def exhaustive_update(
     sim = graph.sim[q_ids]
     row, col = np.nonzero((nbr == i) | (nbr == j))
     weakest = sim[np.arange(q_ids.size), sim.argmin(axis=1)]
-    sims_qm = state.db[m] @ state.qr[q_ids].T
+    sims_qm = state.packed[state.slot.item(m)] @ state.packed_q[state.slot[q_ids]].T
     certified = (np.bincount(row, minlength=q_ids.size) == 1) & (sims_qm > weakest)
     won = certified[row]
     nbr[row, col] = np.where(won, m, -1)
@@ -708,8 +671,6 @@ def exhaustive_update(
     lists = topk_batch(state, queries, graph.k)
     graph.set_rows(queries, lists.ids, lists.sims, from_full=True)
     batch = ArcBatch(rows)
-    batch.add(q_cert, m, sims_qm[certified])
-    batch.add(queries[:, None], lists.ids, lists.sims)
     batch.insertions = q_cert.size
     best_sim, best_dst = batch.best_sim, batch.best_dst
     best_dst[2], best_sim[2] = lists.ids[0, 0], lists.sims[0, 0]

@@ -167,11 +167,10 @@ def gaec(graph: SparseWeightedGraph) -> SolveResult:
 def _initial_graph_from_index(
     state: ContractionState, k: int, index: AnnIndex
 ) -> tuple[NNGraph, CandidateQueue]:
-    n = state.n0
-    graph = NNGraph(k, capacity=state.db.shape[0])
-    queue = CandidateQueue()
+    graph = NNGraph(k, state.slot.size)
+    queue = CandidateQueue(state.slot.size)
     lists = index.self_knn(k)
-    rows = np.arange(n)
+    rows = np.arange(state.n0)
     graph.set_rows(rows, lists.ids, lists.sims, from_full=index.exact)
     queue.refresh(graph, rows)
     return graph, queue
@@ -199,16 +198,16 @@ def _dense_solve(
     }
     t_init = time.perf_counter()
     if mode == "approx-lazy":
+        # the packed rows are in id order only until the first contraction,
+        # and the index aliases them, so it must not outlive the initial graph
         factory = index_factory or ann_default_build
         index = factory(
-            state.db[: state.n0],
-            state.qr[: state.n0],
-            params=cfg.ann_params,
-            seed=cfg.seed,
+            state.packed, state.packed_q, params=cfg.ann_params, seed=cfg.seed
         )
         graph, queue = _initial_graph_from_index(state, k, index)
         if index.exact:
             stats["n_exhaustive_searches"] += state.n0
+        del index
     else:
         graph, queue = build_nn_graph(state, k)
         stats["n_exhaustive_searches"] += state.n0

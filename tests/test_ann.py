@@ -38,7 +38,7 @@ class TestExactIndex:
         rows = rng.normal(size=(40, 6))
         fm = FeatureMatrix(rows.astype(np.float32))
         state = ContractionState(fm)
-        idx = ExactIndex(state.db[:40], state.qr[:40])
+        idx = ExactIndex(state.packed, state.packed_q)
         lists = idx.self_knn(4)
         for q in range(40):
             want = topk_exact(state, q, 4)
@@ -89,7 +89,7 @@ class TestProximityGraphIndex:
         fm = FeatureMatrix(rows.astype(np.float32))
         fm = fm.with_affinity(0.4, AlphaSign.MINUS)
         state = ContractionState(fm)
-        idx = ProximityGraphIndex(state.db[:n], state.qr[:n], seed=0)
+        idx = ProximityGraphIndex(state.packed, state.packed_q, seed=0)
         approx = idx.self_knn(5)
         hits = total = 0
         rng = np.random.default_rng(0)

@@ -10,6 +10,7 @@ from densemulticut.core import (
     FeatureMatrix,
     Partition,
     SparseWeightedGraph,
+    _extended_rows,
     canonical_labels,
     enumerate_optimal,
     materialize_cost_matrix,
@@ -124,13 +125,13 @@ class TestAggregate:
         fm = fm_from([[1, 2], [3, -1], [0, 0]])
         state = ContractionState(fm)
         m = state.contract(0, 1)
-        assert np.array_equal(state.db[m], [4.0, 1.0])
+        assert np.array_equal(state.packed[state.slot[m]], [4.0, 1.0])
 
     def test_alpha_addition(self):
         fm = fm_from([[1, 2], [3, -1]], alpha=0.4, sign=AlphaSign.MINUS)
         state = ContractionState(fm)
         m = state.contract(0, 1)
-        assert state.db[m, -1] == pytest.approx(0.8, abs=1e-7)
+        assert state.packed[state.slot[m], -1] == pytest.approx(0.8, abs=1e-7)
 
     def test_merged_similarity_is_additive_exact_integers(self):
         # integer-valued features: the additivity identity holds exactly
@@ -147,6 +148,14 @@ class TestAggregate:
         state.contract(0, 1)
         with pytest.raises(StateError):
             state.contract(0, 2)
+
+    def test_sim_of_dead_node_rejected(self):
+        # a dead node has no row; its slot must not read another node's
+        state = ContractionState(fm_from([[1, 2], [3, -1], [2, 5]]))
+        m = state.contract(0, 2)
+        for i, j in ((0, 1), (1, 2), (m, 0)):
+            with pytest.raises(StateError):
+                state.sim(i, j)
 
     @pytest.mark.parametrize("sign", [AlphaSign.OFF, AlphaSign.PLUS, AlphaSign.MINUS])
     def test_merged_similarity_additivity_random(self, sign):
@@ -384,10 +393,20 @@ class TestPartition:
 
 
 def assert_packed_consistent(state):
+    """Slots name the alive ids, and each alive row is the sum of the input
+    rows of its cluster's original nodes (exact for integer features)."""
     n = state.n_alive
     order = state.order[:n]
-    assert state.packed[:n].tobytes() == state.db[order].tobytes()
     assert np.array_equal(np.sort(order), state.alive_ids())
+    root = state.forest.parent
+    while not np.array_equal(root[root], root):
+        root = root[root]
+    qr0, db0 = _extended_rows(state.fm)
+    assert (state.packed_q is state.packed) == (qr0 is db0)
+    for u in order.tolist():
+        members = np.flatnonzero(root[: state.n0] == u)
+        assert np.array_equal(state.packed[state.slot[u]], db0[members].sum(axis=0))
+        assert np.array_equal(state.packed_q[state.slot[u]], qr0[members].sum(axis=0))
     assert np.array_equal(state.slot[order], np.arange(n))
     assert (state.slot[~state.alive] == -1).all()
 
@@ -410,14 +429,28 @@ class TestPackedRows:
             state.contract(int(i), int(j))
             assert_packed_consistent(state)
 
+    @pytest.mark.parametrize("sign", [AlphaSign.PLUS, AlphaSign.MINUS, AlphaSign.OFF])
+    def test_rows_only_of_the_input_nodes(self, sign):
+        # one float64 row per input node, a second one under MINUS, and no
+        # row for the merged ids a solve creates
+        n, d = 9, 3
+        state = ContractionState(make_instance(n, d, seed=5, alpha=0.4, sign=sign))
+        rows = {
+            id(a): a
+            for a in vars(state).values()
+            if isinstance(a, np.ndarray) and a.dtype == np.float64
+        }
+        copies = 2 if sign is AlphaSign.MINUS else 1
+        assert sum(a.nbytes for a in rows.values()) == copies * n * state.dim * 8
+
     def test_rejected_contraction_writes_nothing(self):
         state = ContractionState(make_instance(6, 3, seed=4, alpha=0.4, sign=AlphaSign.MINUS))
         m = state.contract(1, 4)
-        before = [a.copy() for a in (state.packed, state.order, state.slot, state.db)]
+        before = [a.copy() for a in (state.packed, state.order, state.slot, state.packed_q)]
         for i, j, err in ((2, 2, ArgumentError), (1, 3, StateError), (3, 4, StateError)):
             with pytest.raises(err):
                 state.contract(i, j)
-        after = (state.packed, state.order, state.slot, state.db)
+        after = (state.packed, state.order, state.slot, state.packed_q)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
         assert state.n_alive == 5 and state.alive[m]
         assert_packed_consistent(state)

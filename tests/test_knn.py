@@ -142,19 +142,19 @@ class TestContractionBound:
         assert state.sim(m, 3) <= b + 1e-12
 
     def test_empty_list_gives_sentinel(self):
-        graph = NNGraph(2)
+        graph = NNGraph(2, 2)
         graph.set_arcs(0, [], from_full=True)
         graph.set_arcs(1, [(0, 0.5)], from_full=True)
         assert contraction_bound(graph, 0, 1) == INF
 
     def test_short_non_exhaustive_list_gives_sentinel(self):
-        graph = NNGraph(3)
+        graph = NNGraph(3, 5)
         graph.set_arcs(0, [(2, 0.5)], from_full=False)
         graph.set_arcs(1, [(2, 0.4), (3, 0.1), (4, 0.05)], from_full=True)
         assert contraction_bound(graph, 0, 1) == INF
 
     def test_short_exhaustive_list_is_usable(self):
-        graph = NNGraph(3)
+        graph = NNGraph(3, 5)
         graph.set_arcs(0, [(2, 0.5)], from_full=True)
         graph.set_arcs(1, [(2, 0.4), (3, 0.1), (4, 0.05)], from_full=True)
         assert contraction_bound(graph, 0, 1) == pytest.approx(0.55)
@@ -173,7 +173,7 @@ class TestContractionBound:
             while state.n_alive > max(3, k + 1):
                 ids = state.alive_ids()
                 i, j = (int(x) for x in rng.choice(ids, size=2, replace=False))
-                graph = NNGraph(k)
+                graph = NNGraph(k, state.slot.size)
                 for u in (i, j):
                     graph.set_arcs(u, topk_exact(state, u, k), from_full=True)
                 union = {t for t, _ in graph.arcs(i)} | {t for t, _ in graph.arcs(j)}
@@ -207,8 +207,8 @@ class TestContractionBound:
 class TestBestArc:
     def test_empty(self):
         state = state_from([[1, 0], [0, 1]])
-        graph = NNGraph(1)
-        queue = CandidateQueue()
+        graph = NNGraph(1, state.slot.size)
+        queue = CandidateQueue(state.slot.size)
         assert best_arc(graph, queue, state) is None
 
     def test_picks_max(self):
@@ -260,12 +260,10 @@ class TestIncrementalUpdate:
         assert graph.targets(1) == [2]
         assert contraction_bound(graph, 0, 1) == pytest.approx(1.4, abs=1e-7)
         m = state.contract(0, 1)
-        new_arcs, searches = incremental_update(graph, state, 0, 1, m, lazy=False)
+        _, searches = incremental_update(graph, state, 0, 1, m, lazy=False)
         assert searches == 0
         assert graph.targets(m) == [2]
-        got = dict((u, (v, s)) for u, v, s in new_arcs)[m]
-        assert got[0] == 2
-        assert got[1] == pytest.approx(1.4, abs=1e-7)
+        assert graph.arcs(m)[0][1] == pytest.approx(1.4, abs=1e-7)
 
     def test_pointing_node_gets_cheap_arc(self):
         # q points at i and r; the merged node is at least as similar as r,
@@ -281,8 +279,8 @@ class TestIncrementalUpdate:
         graph, _ = build_nn_graph(state, 2)
         assert set(graph.targets(0)) == {1, 2}
         m = state.contract(1, 3)
-        new_arcs, searches = incremental_update(graph, state, 1, 3, m, lazy=False)
-        assert (0, m) in [(u, v) for u, v, _ in new_arcs]
+        _, searches = incremental_update(graph, state, 1, 3, m, lazy=False)
+        assert m in graph.targets(0)
         assert searches == 0
 
     def test_lazy_leaves_merged_node_isolated(self):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from densemulticut.core import AlphaSign, ContractionState, FeatureMatrix
 from densemulticut.knn import (
     CandidateQueue,
-    NNGraph,
     best_arc,
     build_nn_graph,
     exhaustive_update,
@@ -64,17 +63,6 @@ class TestBlockTopk:
         lists = topk_batch(state, np.arange(4), 5)
         assert all(len(row) == 3 for row in lists)
         assert_matches_brute(state, np.arange(4), 5, lists)
-
-    def test_query_not_alive(self):
-        fm = make_instance(30, 4, seed=3)
-        state = ContractionState(fm)
-        m = state.contract(2, 7)
-        lists = topk_batch(state, np.array([2, m, 7]), 3)
-        assert all(state.alive[t] for row in lists for t, _ in row)
-        # a dead query ranks every alive node, the merged node included
-        assert_matches_brute(state, [2, m, 7], 3, lists)
-        dead_all = topk_batch(state, np.array([2]), 40)[0]
-        assert len(dead_all) == state.n_alive
 
 
 class TestPackedSearch:
@@ -162,26 +150,6 @@ class TestSelectRows:
 
 
 class TestArrayGraph:
-    def test_grows_past_initial_capacity(self):
-        graph = NNGraph(2)
-        assert graph.capacity == 0
-        graph.set_arcs(3, [(1, 0.5), (0, 0.25)], from_full=True)
-        graph.set_arcs(40, [(3, 0.75)], from_full=False)
-        graph.set_rows(
-            np.array([100, 7]),
-            np.array([[3, 40], [100, -1]]),
-            np.array([[0.5, 0.1], [0.2, -np.inf]]),
-            from_full=True,
-        )
-        assert graph.capacity >= 101
-        assert graph.arcs(3) == [(1, 0.5), (0, 0.25)]
-        assert graph.arcs(40) == [(3, 0.75)]
-        assert graph.arcs(100) == [(3, 0.5), (40, 0.1)]
-        assert graph.arcs(7) == [(100, 0.2)]
-        assert graph.in_index[3] == {40, 100}
-        assert graph.full_list[3] and not graph.full_list[40]
-        assert graph.targets(99) == []
-
     def test_best_arc_skips_a_dead_best_target_without_a_push(self):
         fm = make_instance(30, 3, seed=8, alpha=0.4, sign=AlphaSign.PLUS)
         state = ContractionState(fm)
@@ -267,7 +235,7 @@ class TestUpdateEntries:
                 batch, _ = incremental_update(graph, state, i, j, m, lazy=update == "lazy")
             queue.push_many(graph, batch)
             ids = np.arange(state.n0 + state.forest.n_merges)
-            fresh = CandidateQueue()
+            fresh = CandidateQueue(graph.capacity)
             fresh.refresh(graph, ids)
             np.testing.assert_array_equal(queue.best_sim[ids], fresh.best_sim[ids])
             np.testing.assert_array_equal(queue.best_dst[ids], fresh.best_dst[ids])
@@ -293,12 +261,32 @@ class TestTieContract:
         k=st.sampled_from([1, 2, 3]),
     )
     def test_dense_greedy_reproduces_gaec_under_ties(self, rows, sign, k):
-        # dgaec-inc only at its default k: at k = 2 to 4 its merged lists
-        # can miss a node tied with the contraction bound
+        # dgaec-inc only at its default k: at k = 2 to 4 a node whose list
+        # named neither parent is never told of the merged node, even when
+        # the merged node beats its weakest arc; that stale list still
+        # counts as exact, so a later contraction bound over it is too low
         fm = FeatureMatrix(np.array(rows, dtype=np.float32))
         trace = {}
         for algo, algo_k in (("gaec", None), ("dgaec", k), ("dgaec-inc", None)):
             cfg = SolverConfig(algorithm=algo, k=algo_k, alpha=0.5, alpha_sign=sign)
             trace[algo] = [(s.i, s.j, s.m, s.similarity) for s in solve(fm, cfg).trace]
         assert trace["dgaec"] == trace["gaec"]
+        assert trace["dgaec-inc"] == trace["gaec"]
+
+    # the known runs where that stale list changes dgaec-inc's trace; they
+    # pass once the contraction bound accounts for lists that predate m
+    @pytest.mark.xfail(strict=True, reason="dgaec-inc trusts stale lists in its bound")
+    @pytest.mark.parametrize(
+        "seed, k, r",
+        [(3378, 4, 2), (4638, 2, 2), (4638, 3, 2), (6316, 2, 2), (4779, 2, 3), (5138, 2, 3)],
+    )
+    def test_incremental_reproduces_gaec_at_small_k(self, seed, k, r):
+        rng = np.random.default_rng(seed)
+        n, d = rng.integers(2, 26), rng.integers(1, 4)
+        fm = FeatureMatrix(rng.integers(-r, r + 1, (n, d)).astype(np.float32))
+        sign = [AlphaSign.PLUS, AlphaSign.MINUS, AlphaSign.OFF][seed % 3]
+        trace = {}
+        for algo, algo_k in (("gaec", None), ("dgaec-inc", k)):
+            cfg = SolverConfig(algorithm=algo, k=algo_k, alpha=0.5, alpha_sign=sign)
+            trace[algo] = [(s.i, s.j, s.m, s.similarity) for s in solve(fm, cfg).trace]
         assert trace["dgaec-inc"] == trace["gaec"]
