@@ -24,11 +24,14 @@ selection cut to ``k`` first keeps every candidate tied with the k-th
 value, so ties at the cut resolve by id as well. One helper,
 :func:`select_rows`, does every cut of a block of similarities: the exact
 searches, the approximate index's candidate lists and long single lists.
-It takes the maxima of strided column groups first; the k-th largest group
-maximum is a lower bound on the k-th value, so only the few entries at or
-above it are gathered and sorted, and the selection stays exact. At k = 1
-that bound is the row maximum itself, so the cut is a row maximum plus the
-smallest id among the entries equal to it.
+It picks the cut from the block's shape. At k = 1 the cut is a row maximum
+plus the smallest id among the entries equal to it. A block of at most
+``_FEW_CELLS`` entries, such as the one- and two-row searches of a
+merge's repair, takes each row's exact k-th value with one partition and
+ranks the entries at or above it. A larger block takes the maxima of
+strided column groups first; the k-th largest group maximum is a lower
+bound on the k-th value, so only the few entries at or above it are
+gathered and ranked. Every cut is exact and all give the same result.
 
 The contraction state holds the alive nodes' rows only, packed in slots
 (``ContractionState.packed`` and ``packed_q``), and every read of a row
@@ -36,14 +39,19 @@ goes through ``ContractionState.slot``. The exact searches multiply query
 rows straight against ``packed[:n_alive]``, whose columns are not in id
 order. The selection ranks ids in any order, so the order of the columns
 changes no ranking; a similarity's last bits can still depend on its
-column's position in the product. The graph and the queue are allocated
-once, one row per node id the solve can create.
+column's position in the product, and on how many query rows share the
+product, since a BLAS may round a one-row product differently from a
+product of several rows (OpenBLAS does). The searches therefore keep one
+product per block of ``_BLOCK`` queries, in the order given. The graph
+and the queue are allocated once, one row per node id the solve can
+create.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain
+from itertools import chain, groupby, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -56,8 +64,15 @@ INF = float("inf")
 _BLOCK = 512
 # Most column groups a selection takes maxima over.
 _GROUPS = 128
-# Up to this many candidates a plain sort beats the numpy calls of a
-# partial selection.
+# Up to this many entries in a block, the partition cut's few numpy calls
+# cost less than the group-max cut's; above it, its slower passes over the
+# block cost more (tools/cut_bench.py).
+_FEW_CELLS = 4000
+# Most gathered entries the partition cut ranks with a Python sort; more,
+# as ties or many rows gather, are ranked by the group-max cut's lexsort.
+_FEW_ENTRIES = 32
+# Lists of at most this many candidates are ranked by a plain sort, which
+# keeps topk_exact, the tests' oracle, independent of the cuts.
 _SMALL = 32
 
 
@@ -74,9 +89,7 @@ def ranked(ids: np.ndarray, sims: np.ndarray, k: int) -> list[tuple[int, float]]
         while arcs and arcs[-1][1] == -INF:
             arcs.pop()
         return arcs
-    top_ids, top_sims = select_rows(sims[None, :], ids, k)
-    width = int(np.count_nonzero(top_ids[0] >= 0))
-    return list(zip(top_ids[0, :width].tolist(), top_sims[0, :width].tolist()))
+    return NeighbourLists(*select_rows(sims[None, :], ids, k))[0]
 
 
 def select_rows(
@@ -90,49 +103,110 @@ def select_rows(
     similarities (``-inf`` pad), each row ranked by descending similarity
     with ties toward the smaller id.
 
-    The selection is exact and makes two passes. The first splits the ``c``
-    columns into ``G`` strided groups, group ``g`` holding columns
-    ``g, g+G, g+2G, ...`` and the last ``c mod G`` columns a tail, and takes
-    each row's group maxima in one reduction. Let ``t`` be a row's k-th
-    largest group maximum: the k groups with the largest maxima hold k
-    distinct entries of at least ``t``, so the row's k-th value, and every
-    entry tied with it, is at least ``t``. The second pass gathers only the
-    entries at or above ``t`` from groups whose maximum reaches it and from
-    the tail, and ranks them with one lexsort by (row, -sim, id) before
-    cutting each row at k. Entries tied with the k-th value all pass the
-    filter, so ties at the cut resolve by id with no special case.
+    The cut depends on the shape of the block only, the partition cut's
+    ranking also on how many entries it gathers, and every cut gives the
+    same result for ids in any order:
 
-    ``G = max(k, min(128, c // 4))``, from the shape alone: at least k
-    groups, so that ``t`` exists; at least 4 columns per group below
-    ``c = 512``, so that small blocks still skip most groups; and at most
-    128 groups, so that finding ``t`` stays cheap against the pass over
-    the block.
+    - k = 1: one argmax per row, then a count of the entries equal to each
+      maximum, and the masked minimum over the shared ids only for rows
+      where the maximum recurs, with no sort and no integer block of the
+      size of ``sims``.
+    - at most ``_FEW_CELLS`` entries and more than k columns: each row's
+      exact k-th value from one partition, then the entries at or above it,
+      ranked (:func:`_select_few`). Per call this costs fewer numpy calls
+      than the group-max cut, which matters for the one- and two-row
+      searches of every merge's repair.
+    - otherwise the group-max cut (:func:`_select_groups`), which touches
+      the block in two cheap passes and is several times faster than a
+      partition on a wide block of many rows.
 
-    At k = 1 the largest group maximum is the row maximum, so ``t`` is the
-    row's top value and the entries that pass the filter are exactly those
-    equal to it; ranking them by id keeps the smallest. That case is
-    computed directly: one argmax per row, then a count of the entries
-    equal to each maximum, and the masked minimum over the shared ids only
-    for rows where the maximum recurs, with no lexsort and no integer block
-    of the size of ``sims``. Both cases give the same result for ids in any
-    order.
+    The last two gather every entry tied with a row's k-th value, so ties
+    at the cut resolve by id with no special case.
     """
     r, c = sims.shape
     if k == 1 and c:
         best, top = _row_best(sims, ids)
         best[top == -INF] = -1
         return best[:, None], top[:, None]
+    if 1 < k < c and r * c <= _FEW_CELLS:
+        return _select_few(sims, ids, k)
+    return _select_groups(sims, ids, k)
+
+
+def _select_few(
+    sims: np.ndarray, ids: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`select_rows` for a small block and ``1 < k < c``.
+
+    One partition gives each row's exact k-th value; one ``nonzero``
+    gathers the entries at or above it, which include every entry tied
+    with it. Up to ``_FEW_ENTRIES`` of them are ranked by one Python sort
+    by (row, -sim, id) before each row is cut at k; more, from ties at
+    the k-th value or many rows, go to :func:`_cut_ranked`.
+    """
+    r, c = sims.shape
+    # the floor keeps -inf entries out when a row has fewer than k finite ones
+    floor = np.finfo(sims.dtype).min
+    kth = np.maximum(np.partition(sims, c - k, axis=1)[:, c - k], floor)
+    rows, cols = np.nonzero(sims >= kth[:, None])
+    if rows.size > _FEW_ENTRIES:
+        return _cut_ranked(r, k, rows, ids[cols], sims[rows, cols])
+    entries = sorted(zip(rows.tolist(), (-sims[rows, cols]).tolist(), ids[cols].tolist()))
+    # filled as lists: two conversions cost less than a write per row
+    out_ids = [-1] * (r * k)
+    out_sims = [-INF] * (r * k)
+    for row, group in groupby(entries, itemgetter(0)):
+        for slot, (_, neg, t) in enumerate(islice(group, k), row * k):
+            out_ids[slot] = t
+            out_sims[slot] = -neg
+    return (
+        np.array(out_ids, dtype=np.int64).reshape(r, k),
+        np.array(out_sims).reshape(r, k),
+    )
+
+
+def _select_groups(
+    sims: np.ndarray, ids: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`select_rows` by the group-max cut, for any shape and k.
+
+    The first pass splits the ``c`` columns into ``G`` strided groups,
+    group ``g`` holding columns ``g, g+G, g+2G, ...`` and the last
+    ``c mod G`` columns a tail, and takes each row's group maxima in one
+    reduction. Let ``t`` be a row's k-th largest group maximum: the k
+    groups with the largest maxima hold k distinct entries of at least
+    ``t``, so the row's k-th value, and every entry tied with it, is at
+    least ``t``. The second pass gathers only the entries at or above ``t``
+    from groups whose maximum reaches it and from the tail, and ranks them
+    with :func:`_cut_ranked`.
+
+    ``G = max(k, min(128, c // 4))``, from the shape alone: at least k
+    groups, so that ``t`` exists; at least 4 columns per group below
+    ``c = 512``, so that small blocks still skip most groups; and at most
+    128 groups, so that finding ``t`` stays cheap against the pass over
+    the block.
+    """
+    r, c = sims.shape
+    if r and c and k:
+        return _cut_ranked(r, k, *_above_threshold(sims, ids, k))
+    return np.full((r, k), -1, dtype=np.int64), np.full((r, k), -INF)
+
+
+def _cut_ranked(
+    r: int, k: int, rows: np.ndarray, cand: np.ndarray, picked: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(r, k)`` ids and similarities of gathered entries (row, id,
+    similarity), ranked by one lexsort by (row, -sim, id) and cut at k per
+    row; a row with fewer than k entries is padded."""
     out_ids = np.full(r * k, -1, dtype=np.int64)
     out_sims = np.full(r * k, -INF)
-    if r and c and k:
-        rows, cand, picked = _above_threshold(sims, ids, k)
-        order = np.lexsort((cand, -picked, rows))
-        rows = rows[order]
-        rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-        keep = np.flatnonzero(rank < k)
-        slot = rows[keep] * k + rank[keep]
-        out_ids[slot] = cand[order[keep]]
-        out_sims[slot] = picked[order[keep]]
+    order = np.lexsort((cand, -picked, rows))
+    rows = rows[order]
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    keep = np.flatnonzero(rank < k)
+    slot = rows[keep] * k + rank[keep]
+    out_ids[slot] = cand[order[keep]]
+    out_sims[slot] = picked[order[keep]]
     return out_ids.reshape(r, k), out_sims.reshape(r, k)
 
 
@@ -236,8 +310,13 @@ def block_topk(
     """Exact top-k of query rows ``qr[queries]`` against database rows ``db``.
 
     ``ids[c]`` names database row ``c``; ``self_pos[r]`` is the database row
-    query ``r`` must skip, or ``-1``. Similarities come from one matrix
-    product per block of 512 queries, and each block is selected whole.
+    query ``r`` must skip, its own. Similarities come from one matrix
+    product per block of 512 queries, taken in the order given, and each
+    block is cut whole by :func:`select_rows`. The grouping must stay: a
+    BLAS may round a product of one query row differently from one of
+    several, so splitting or merging blocks could move similarity bits. A
+    block of at most ``_FEW_CELLS`` similarities takes the partition cut,
+    a larger one the group-max cut.
     """
     if k < 1:
         raise ArgumentError("k must be at least 1")
@@ -247,8 +326,7 @@ def block_topk(
     for start in range(0, nq, _BLOCK):
         stop = min(start + _BLOCK, nq)
         sims = qr[queries[start:stop]] @ db.T
-        rows = np.flatnonzero(self_pos[start:stop] >= 0)
-        sims[rows, self_pos[start + rows]] = -INF
+        sims[np.arange(stop - start), self_pos[start:stop]] = -INF
         out_ids[start:stop], out_sims[start:stop] = select_rows(sims, ids, k)
         # free this block before the next product allocates its own, so at
         # most one block of similarities is alive

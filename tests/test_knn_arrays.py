@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from densemulticut.core import AlphaSign, ContractionState, FeatureMatrix
 from densemulticut.knn import (
+    _FEW_CELLS,
     CandidateQueue,
     best_arc,
     build_nn_graph,
@@ -83,8 +84,12 @@ class TestPackedSearch:
             i, j = rng.choice(state.alive_ids(), size=2, replace=False)
             state.contract(int(i), int(j))
         alive = state.alive_ids()
+        # one and two queries, the searches of a merge's repair
+        few = rng.choice(alive, size=2, replace=False)
         for k in (1, 3, 6):
             assert_matches_brute(state, alive, k, topk_batch(state, alive, k))
+            for queries in (few[:1], few):
+                assert_matches_brute(state, queries, k, topk_batch(state, queries, k))
             exact = [topk_exact(state, int(q), k) for q in alive]
             assert_matches_brute(state, alive, k, exact)
 
@@ -110,11 +115,17 @@ class TestSelectRows:
     # column counts on both sides of each group-size boundary: k at or
     # above c, k above c // 4 so that the group count is k, c around
     # 4 * 128 where the group count stops growing, and counts that leave a
-    # tail of c mod G columns
+    # tail of c mod G columns; with the widest, blocks on both sides of the
+    # partition cut's size limit
     @settings(max_examples=300, deadline=None)
     @given(
         r=st.integers(1, 5),
-        c=st.one_of(st.integers(1, 12), st.integers(13, 300), st.integers(500, 530)),
+        c=st.one_of(
+            st.integers(1, 12),
+            st.integers(13, 300),
+            st.integers(500, 530),
+            st.integers(_FEW_CELLS // 5, _FEW_CELLS + 5),
+        ),
         k_kind=st.sampled_from(["one", "small", "groups", "all"]),
         values=st.sampled_from(["integer", "two-valued", "continuous"]),
         exclude=st.sampled_from([0.0, 0.3, 0.9]),
