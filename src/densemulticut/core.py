@@ -343,7 +343,7 @@ class ContractionState:
     def sims_to(self, q: int, ids: np.ndarray) -> np.ndarray:
         """Similarities from alive query node ``q`` to each alive node in
         ``ids``."""
-        return self.packed[self.slot[ids]] @ self.packed_q[self.slot.item(q)]
+        return self.packed.take(self.slot.take(ids), axis=0) @ self.packed_q[self.slot.item(q)]
 
     def contract(self, i: int, j: int) -> int:
         """Contract nodes ``i`` and ``j``; returns the fresh merged id."""

@@ -19,6 +19,16 @@ computes the new queue entry of every row it changed, from the block, the
 merged node's ranked list and the search results it already holds, so the
 queue takes them without reading the graph again.
 
+The incremental repair picks how it repairs its block from the block's row
+count. Up to ``_FEW_ROWS`` rows, the in-neighbour count of most merges on
+unclustered rows, a Python loop reads each row as lists and writes back
+only the cells it changed; numpy's fixed cost per call would outweigh its
+speed per row there. Larger blocks, the hubs of clustered rows, are
+repaired with numpy as one block. Both paths take every similarity to the
+merged node from the same single matrix product over the sorted rows, so
+they write the same bits: a separate dot product per row can round
+differently from a row of that product.
+
 Every ranking breaks similarity ties toward the smaller node id, and a
 selection cut to ``k`` first keeps every candidate tied with the k-th
 value, so ties at the cut resolve by id as well. One helper,
@@ -49,6 +59,7 @@ create.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import chain, groupby, islice
 from operator import itemgetter
@@ -74,6 +85,11 @@ _FEW_ENTRIES = 32
 # Lists of at most this many candidates are ranked by a plain sort, which
 # keeps topk_exact, the tests' oracle, independent of the cuts.
 _SMALL = 32
+# In-neighbour blocks of at most this many rows are repaired by a Python
+# loop over the rows, larger ones by numpy over the block: up to it numpy's
+# fixed cost per call outweighs its speed per row, and from 14 or 15 rows
+# numpy is faster (tools/repair_bench.py).
+_FEW_ROWS = 13
 
 
 def _rank_key(arc: tuple[int, float]) -> tuple[float, int]:
@@ -221,16 +237,17 @@ def _row_best(sims: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray
     finite entry gets ``-inf`` and the id of its first column, which is the
     ``-1`` pad in a graph row. Returns ``(ids, sims)``, one entry per row.
     """
-    r = sims.shape[0]
-    rows = np.arange(r)
+    r, c = sims.shape
     pos = sims.argmax(axis=1)
-    top = sims[rows, pos]
     per_row = ids.ndim == 2
-    best = ids[rows, pos] if per_row else ids[pos]
+    # flat positions: take on one index array costs less than a 2-d gather
+    cell = pos + np.arange(0, r * c, c)
+    top = sims.take(cell)
+    best = ids.take(cell if per_row else pos)
     at_top = sims == top[:, None]
     n_top = np.count_nonzero(at_top)
     # each of an empty row's c entries equals its -inf maximum; that is no tie
-    if n_top > r and n_top > r + (sims.shape[1] - 1) * np.count_nonzero(top == -INF):
+    if n_top > r and n_top > r + (c - 1) * np.count_nonzero(top == -INF):
         tied = np.flatnonzero((np.count_nonzero(at_top, axis=1) > 1) & (top > -INF))
         cand = ids[tied] if per_row else ids
         best[tied] = np.where(at_top[tied], cand, cand.max()).min(axis=1)
@@ -430,16 +447,15 @@ class NNGraph:
                 if t >= 0:
                     self.in_index.setdefault(t, set()).add(u)
 
-    def set_arcs(self, u: int, arcs: list[tuple[int, float]], *, from_full: bool) -> None:
-        """Replace u's outgoing arcs wholesale."""
-        self._clear_row(u)
+    def fill_row(self, u: int, arcs: list[tuple[int, float]]) -> None:
+        """Write ``arcs`` into u's row, which must hold none, and list u in
+        each target's reverse index."""
         if arcs:
             ids = [t for t, _ in arcs]
             self.nbr[u, : len(arcs)] = ids
             self.sim[u, : len(arcs)] = [s for _, s in arcs]
             for t in ids:
                 self.in_index.setdefault(t, set()).add(u)
-        self.full_list[u] = from_full
 
     def validate(self, state: ContractionState, tol: float = 1e-9) -> None:
         """Assert structural invariants (tests only; O(arcs) plus recompute)."""
@@ -470,20 +486,21 @@ class ArcBatch:
 
     ``rows`` names the nodes whose arc lists changed, including nodes that
     died; ``best_sim``/``best_dst`` hold, per entry of ``rows``, the best
-    arc of that row as :meth:`CandidateQueue.refresh` would compute it; the
-    update fills them in, and they start as ``-inf``/``-1``, the entry of an
-    empty row. ``insertions`` counts the rows that received an arc to the
-    merged node without a search. Its length is the number of queue entries
-    :meth:`CandidateQueue.push_many` writes.
+    arc of that row as :meth:`CandidateQueue.refresh` would compute it, or
+    ``-inf``/``-1`` for an empty row. ``insertions`` counts the rows that
+    received an arc to the merged node without a search. Its length is the
+    number of queue entries :meth:`CandidateQueue.push_many` writes.
     """
 
     __slots__ = ("rows", "best_sim", "best_dst", "insertions")
 
-    def __init__(self, rows: np.ndarray) -> None:
+    def __init__(
+        self, rows: np.ndarray, best_sim: np.ndarray, best_dst: np.ndarray, insertions: int
+    ) -> None:
         self.rows = rows
-        self.best_sim = np.full(rows.size, -INF)
-        self.best_dst = np.full(rows.size, -1, dtype=np.int64)
-        self.insertions = 0
+        self.best_sim = best_sim
+        self.best_dst = best_dst
+        self.insertions = insertions
 
     def __len__(self) -> int:
         return self.rows.size
@@ -609,9 +626,7 @@ def _in_neighbours(graph: NNGraph, i: int, j: int, m: int) -> np.ndarray:
     """
     nin = graph.in_index.pop(i, set())
     nin.update(graph.in_index.pop(j, ()))
-    rows = np.fromiter(chain((i, j, m), nin), dtype=np.int64, count=len(nin) + 3)
-    rows[3:].sort()
-    return rows
+    return np.array([i, j, m, *sorted(nin)], dtype=np.int64)
 
 
 def incremental_update(
@@ -634,72 +649,185 @@ def incremental_update(
     call. The batch carries every changed row's new queue entry, taken from
     the repaired block, m's ranked list or the search results. Returns (the
     batch, number of exhaustive searches performed).
+
+    The in-neighbour rows are repaired by a Python loop over the rows when
+    there are at most ``_FEW_ROWS`` of them, where numpy's fixed cost per
+    call outweighs its speed per row, and as one numpy block otherwise
+    (``tools/repair_bench.py``). Both take every sim(q, m) from one matrix
+    product over the sorted rows: a separate dot per row can round
+    differently, which would move similarity bits. The two paths leave the
+    same graph, batch and searches.
     """
     state.check_alive(m)
     k = graph.k
-    full = (bool(graph.full_list[i]), bool(graph.full_list[j]))
+    full = (graph.full_list.item(i), graph.full_list.item(j))
     arcs_i, arcs_j = graph._clear_row(i), graph._clear_row(j)
     rows = _in_neighbours(graph, i, j, m)
     q_ids = rows[3:]
-    batch = ArcBatch(rows)
-    best_sim, best_dst = batch.best_sim, batch.best_dst
-    searches = 0
 
     bound = _bound(k, (arcs_i, full[0]), (arcs_j, full[1]))
     alive = state.alive
-    cand = sorted({t for t, _ in arcs_i + arcs_j if alive[t]})
+    cand = sorted({t for t, _ in chain(arcs_i, arcs_j) if alive.item(t)})
     merged_arcs: list[tuple[int, float]] = []
     if cand:
         sims = state.sims_to(m, cand).tolist()
         passing = [(t, s) for t, s in zip(cand, sims) if s >= bound]
         merged_arcs = sorted(passing, key=_rank_key)[:k]
     search_m = not merged_arcs and not lazy
-    if not search_m:
-        graph.set_arcs(m, merged_arcs, from_full=False)
-        if merged_arcs:
-            best_dst[2], best_sim[2] = merged_arcs[0]
+    # m is a fresh id, so its row is empty and not marked full
+    graph.fill_row(m, merged_arcs)
+    head_dst, head_sim = merged_arcs[0] if merged_arcs else (-1, -INF)
 
-    pending = q_ids[:0]
-    if q_ids.size:
-        # the in-neighbour rows as one block: drop the arcs to i and j, then
-        # give each row an arc to m where m is more similar than its weakest
-        # surviving arc; m takes a column a parent left. The test is strict
-        # because m has the largest id, so an unlisted node tied with the
-        # weakest arc outranks it
-        nbr = graph.nbr[q_ids]
-        sim = graph.sim[q_ids]
-        gone = (nbr == i) | (nbr == j)
-        nbr[gone] = -1
-        sim[gone] = -INF
-        surviving = np.where(nbr >= 0, sim, INF)
-        weakest = surviving[np.arange(q_ids.size), surviving.argmin(axis=1)]
-        sims_qm = state.packed[state.slot.item(m)] @ state.packed_q[state.slot[q_ids]].T
-        passes = sims_qm > weakest
-        add = passes.nonzero()[0]
-        if add.size:
-            col = gone.argmax(axis=1)[add]
-            nbr[add, col] = m
-            sim[add, col] = sims_qm[add]
-            graph.in_index[m] = set(q_ids[add].tolist())
-            batch.insertions = add.size
-        graph.nbr[q_ids] = nbr
-        graph.sim[q_ids] = sim
-        best_dst[3:], best_sim[3:] = _row_best(sim, nbr)
-        if not lazy:
-            failed = ~passes
-            pending = q_ids[failed]
-    queries = np.concatenate(([m], pending)) if search_m else pending
-    if queries.size:
-        lists = topk_batch(state, queries, k)
-        searches = queries.size
-        graph.set_rows(queries, lists.ids, lists.sims, from_full=True)
-        firsts_dst, firsts_sim = lists.ids[:, 0], lists.sims[:, 0]
-        if search_m:
-            best_dst[2], best_sim[2] = firsts_dst[0], firsts_sim[0]
-        if pending.size:
-            best_dst[3:][failed] = firsts_dst[int(search_m) :]
-            best_sim[3:][failed] = firsts_sim[int(search_m) :]
+    failed: list[int] | np.ndarray = []
+    insertions = 0
+    if not q_ids.size:
+        best_dst = np.array([-1, -1, head_dst], dtype=np.int64)
+        best_sim = np.array([-INF, -INF, head_sim])
+    else:
+        sims_qm = (
+            state.packed[state.slot.item(m)]
+            @ state.packed_q.take(state.slot.take(q_ids), axis=0).T
+        )
+        repair = _repair_rows if q_ids.size <= _FEW_ROWS else _repair_block
+        best_dst, best_sim, failed, insertions = repair(
+            graph, i, j, m, q_ids, sims_qm, (head_dst, head_sim), lazy
+        )
+    batch = ArcBatch(rows, best_sim, best_dst, insertions)
+
+    searches = 0
+    if not lazy:
+        pending = q_ids[failed]
+        queries = np.concatenate(([m], pending)) if search_m else pending
+        if queries.size:
+            lists = topk_batch(state, queries, k)
+            searches = queries.size
+            graph.set_rows(queries, lists.ids, lists.sims, from_full=True)
+            firsts_dst, firsts_sim = lists.ids[:, 0], lists.sims[:, 0]
+            if search_m:
+                best_dst[2], best_sim[2] = firsts_dst[0], firsts_sim[0]
+            if pending.size:
+                best_dst[3:][failed] = firsts_dst[int(search_m) :]
+                best_sim[3:][failed] = firsts_sim[int(search_m) :]
     return batch, searches
+
+
+def _repair_rows(
+    graph: NNGraph,
+    i: int,
+    j: int,
+    m: int,
+    q_ids: np.ndarray,
+    sims_qm: np.ndarray,
+    head: tuple[int, float],
+    lazy: bool,
+) -> tuple[np.ndarray, np.ndarray, list[int], int]:
+    """The in-neighbour rows' repair of :func:`incremental_update`, one row
+    at a time in Python, for a block of few rows.
+
+    Each row drops its arcs to i and j and takes m in its first freed
+    column when ``sims_qm`` is strictly above its weakest surviving arc;
+    the test is strict because m has the largest id, so an unlisted node
+    tied with the weakest arc outranks it. Only the freed cells are written
+    back. A row's queue entry is its first maximal similarity in column
+    order and the smallest id among the arcs equal to it, as
+    :func:`_row_best` computes it. Returns the batch's ids and
+    similarities, with ``head`` (m's entry) after the two empty parent
+    entries, the positions in ``q_ids`` of the rows to re-search (none when
+    ``lazy``) and the count of rows that took m.
+    """
+    k = graph.k
+    nbr, sim = graph.nbr, graph.sim
+    best_dst, best_sim = [-1, -1, head[0]], [-INF, -INF, head[1]]
+    failed: list[int] = []
+    added: list[int] = []
+    rows = zip(
+        q_ids.tolist(),
+        sims_qm.tolist(),
+        nbr.take(q_ids, axis=0).tolist(),
+        sim.take(q_ids, axis=0).tolist(),
+    )
+    for pos, (q, s_m, ts, ss) in enumerate(rows):
+        # every row listed i or j; ``first`` is the column m may take
+        at_i = ts.index(i) if i in ts else k
+        at_j = ts.index(j) if j in ts else k
+        first, second = (at_i, at_j) if at_i < at_j else (at_j, at_i)
+        if second < k:
+            ts[second] = -1
+            ss[second] = -INF
+            nbr[q, second] = -1
+            sim[q, second] = -INF
+        ts[first] = -1
+        ss[first] = -INF
+        # the row's -inf cells, its pads and freed cells (id -1), sort first;
+        # m beats the weakest arc iff more cells than those are below it
+        if bisect_left(sorted(ss), s_m) > ts.count(-1):
+            ts[first] = m
+            ss[first] = s_m
+            added.append(q)
+        elif not lazy:
+            failed.append(pos)
+        nbr[q, first] = ts[first]
+        sim[q, first] = ss[first]
+        top = max(ss)
+        best_sim.append(top)
+        if ss.count(top) == 1:
+            best_dst.append(ts[ss.index(top)])
+        else:
+            # an empty row's cells are all (-1, -inf), so it gets -1
+            best_dst.append(min(t for t, s in zip(ts, ss) if s == top))
+    if added:
+        graph.in_index[m] = set(added)
+    return (
+        np.array(best_dst, dtype=np.int64),
+        np.array(best_sim),
+        failed,
+        len(added),
+    )
+
+
+def _repair_block(
+    graph: NNGraph,
+    i: int,
+    j: int,
+    m: int,
+    q_ids: np.ndarray,
+    sims_qm: np.ndarray,
+    head: tuple[int, float],
+    lazy: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """:func:`_repair_rows` as one numpy block, for many rows.
+
+    The rows are gathered, every arc to i or j dropped, and a row takes m
+    in its first freed column where ``sims_qm`` is strictly above its
+    weakest surviving arc; the block is written back whole and its queue
+    entries come from :func:`_row_best`. Returns what :func:`_repair_rows`
+    returns, the rows to re-search as an index array.
+    """
+    k = graph.k
+    nbr = graph.nbr.take(q_ids, axis=0)
+    sim = graph.sim.take(q_ids, axis=0)
+    gone = (nbr == i) | (nbr == j)
+    np.putmask(nbr, gone, -1)
+    np.putmask(sim, gone, -INF)
+    # m beats the weakest surviving arc iff it beats some surviving arc;
+    # pads and freed cells hold -inf, every arc a finite similarity
+    passes = ((sim < sims_qm[:, None]) & (sim > -INF)).any(axis=1)
+    # the flat position of each row's first freed cell, for the rows m takes
+    cells = (gone.argmax(axis=1) + np.arange(0, q_ids.size * k, k))[passes]
+    nbr.put(cells, m)
+    sim.put(cells, sims_qm[passes])
+    if cells.size:
+        graph.in_index[m] = set(q_ids[passes].tolist())
+    graph.nbr[q_ids] = nbr
+    graph.sim[q_ids] = sim
+    top_dst, top_sim = _row_best(sim, nbr)
+    failed = q_ids[:0] if lazy else (~passes).nonzero()[0]
+    return (
+        np.concatenate(([-1, -1, head[0]], top_dst)),
+        np.concatenate(([-INF, -INF, head[1]], top_sim)),
+        failed,
+        cells.size,
+    )
 
 
 def exhaustive_update(
@@ -748,11 +876,9 @@ def exhaustive_update(
     queries = np.concatenate(([m], q_ids[failed]))
     lists = topk_batch(state, queries, graph.k)
     graph.set_rows(queries, lists.ids, lists.sims, from_full=True)
-    batch = ArcBatch(rows)
-    batch.insertions = q_cert.size
-    best_sim, best_dst = batch.best_sim, batch.best_dst
-    best_dst[2], best_sim[2] = lists.ids[0, 0], lists.sims[0, 0]
-    best_dst[3:], best_sim[3:] = _row_best(sim, nbr)
-    best_dst[3:][failed] = lists.ids[1:, 0]
-    best_sim[3:][failed] = lists.sims[1:, 0]
-    return batch, queries.size
+    top_dst, top_sim = _row_best(sim, nbr)
+    top_dst[failed] = lists.ids[1:, 0]
+    top_sim[failed] = lists.sims[1:, 0]
+    best_dst = np.concatenate(([-1, -1, lists.ids[0, 0]], top_dst))
+    best_sim = np.concatenate(([-INF, -INF, lists.sims[0, 0]], top_sim))
+    return ArcBatch(rows, best_sim, best_dst, q_cert.size), queries.size

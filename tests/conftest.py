@@ -14,6 +14,13 @@ def make_instance(n, d, seed, alpha=None, sign=AlphaSign.OFF, scale=1.0):
     return fm
 
 
+def set_arcs(graph, u, arcs, *, from_full):
+    """Replace u's arcs in ``graph`` wholesale."""
+    graph._clear_row(u)
+    graph.fill_row(u, arcs)
+    graph.full_list[u] = from_full
+
+
 def simplex_centers(k, d, rng):
     """k unit vectors with pairwise inner product -1/(k-1), random frame."""
     assert k <= d + 1

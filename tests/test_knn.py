@@ -17,7 +17,7 @@ from densemulticut.knn import (
     topk_exact,
 )
 
-from conftest import make_instance
+from conftest import make_instance, set_arcs
 
 
 def state_from(rows, alpha=None, sign=AlphaSign.OFF):
@@ -143,20 +143,20 @@ class TestContractionBound:
 
     def test_empty_list_gives_sentinel(self):
         graph = NNGraph(2, 2)
-        graph.set_arcs(0, [], from_full=True)
-        graph.set_arcs(1, [(0, 0.5)], from_full=True)
+        set_arcs(graph, 0, [], from_full=True)
+        set_arcs(graph, 1, [(0, 0.5)], from_full=True)
         assert contraction_bound(graph, 0, 1) == INF
 
     def test_short_non_exhaustive_list_gives_sentinel(self):
         graph = NNGraph(3, 5)
-        graph.set_arcs(0, [(2, 0.5)], from_full=False)
-        graph.set_arcs(1, [(2, 0.4), (3, 0.1), (4, 0.05)], from_full=True)
+        set_arcs(graph, 0, [(2, 0.5)], from_full=False)
+        set_arcs(graph, 1, [(2, 0.4), (3, 0.1), (4, 0.05)], from_full=True)
         assert contraction_bound(graph, 0, 1) == INF
 
     def test_short_exhaustive_list_is_usable(self):
         graph = NNGraph(3, 5)
-        graph.set_arcs(0, [(2, 0.5)], from_full=True)
-        graph.set_arcs(1, [(2, 0.4), (3, 0.1), (4, 0.05)], from_full=True)
+        set_arcs(graph, 0, [(2, 0.5)], from_full=True)
+        set_arcs(graph, 1, [(2, 0.4), (3, 0.1), (4, 0.05)], from_full=True)
         assert contraction_bound(graph, 0, 1) == pytest.approx(0.55)
 
     def test_randomized_bound_and_skip_search(self, rng):
@@ -175,7 +175,7 @@ class TestContractionBound:
                 i, j = (int(x) for x in rng.choice(ids, size=2, replace=False))
                 graph = NNGraph(k, state.slot.size)
                 for u in (i, j):
-                    graph.set_arcs(u, topk_exact(state, u, k), from_full=True)
+                    set_arcs(graph, u, topk_exact(state, u, k), from_full=True)
                 union = {t for t, _ in graph.arcs(i)} | {t for t, _ in graph.arcs(j)}
                 b = contraction_bound(graph, i, j)
                 m = state.contract(i, j)

@@ -1,12 +1,16 @@
 """Array-backed NN graph, per-node candidate queue, block top-k, the
-selection helper, the queue entries the graph updates compute and the tie
-contract under exact similarity ties."""
+selection helper, the queue entries the graph updates compute, the two
+in-neighbour block paths of the incremental update and the tie contract
+under exact similarity ties."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densemulticut import knn
 from densemulticut.core import AlphaSign, ContractionState, FeatureMatrix
 from densemulticut.knn import (
     _FEW_CELLS,
@@ -21,7 +25,7 @@ from densemulticut.knn import (
 )
 from densemulticut.solvers import SolverConfig, solve
 
-from conftest import make_instance
+from conftest import make_instance, set_arcs
 from test_knn import brute_topk
 
 
@@ -173,8 +177,8 @@ class TestArrayGraph:
         # drop i's and j's rows and every arc pointing at them
         for u in pointing | {i, j}:
             kept = [] if u in (i, j) else [a for a in graph.arcs(u) if a[0] not in (i, j)]
-            graph.set_arcs(u, kept, from_full=bool(graph.full_list[u]) and u not in (i, j))
-        graph.set_arcs(m, [], from_full=False)
+            set_arcs(graph, u, kept, from_full=bool(graph.full_list[u]) and u not in (i, j))
+        set_arcs(graph, m, [], from_full=False)
         # nothing is pushed: the cached bests of i, j and of the nodes that
         # pointed at them are stale, and best_arc must look past them
         got = best_arc(graph, queue, state)
@@ -213,10 +217,16 @@ def brute_entries(graph, ids):
     return np.array(sims), np.array(dsts)
 
 
+# ``knn._FEW_ROWS`` values that force every in-neighbour block of the
+# incremental update through its numpy path or through its Python path
+FORCED_PATHS = {"numpy": 0, "python": 1 << 30}
+
+
 class TestUpdateEntries:
     # the repairs compute the queue entries of the rows they change from
     # their own blocks; after every merge of a random sequence they must
-    # equal entries recomputed from the repaired graph
+    # equal entries recomputed from the repaired graph, whichever path
+    # repairs the incremental update's in-neighbour blocks
     @pytest.mark.parametrize("update", ["incremental", "lazy", "exhaustive"])
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @settings(max_examples=25, deadline=None)
@@ -226,8 +236,13 @@ class TestUpdateEntries:
         values=st.sampled_from(["integer", "continuous"]),
         sign=st.sampled_from([AlphaSign.PLUS, AlphaSign.MINUS, AlphaSign.OFF]),
         seed=st.integers(0, 2**32 - 1),
+        path=st.sampled_from(sorted(FORCED_PATHS)),
     )
-    def test_entries_equal_a_fresh_refresh(self, update, k, n, d, values, sign, seed):
+    def test_entries_equal_a_fresh_refresh(self, update, k, n, d, values, sign, seed, path):
+        with mock.patch.object(knn, "_FEW_ROWS", FORCED_PATHS[path]):
+            self._check_entries(update, k, n, d, values, sign, seed)
+
+    def _check_entries(self, update, k, n, d, values, sign, seed):
         rng = np.random.default_rng(seed)
         if values == "integer":
             rows = rng.integers(-2, 3, size=(n, d))
@@ -254,6 +269,71 @@ class TestUpdateEntries:
             np.testing.assert_array_equal(fresh.best_sim[ids], want_sim)
             np.testing.assert_array_equal(fresh.best_dst[ids], want_dst)
             assert best_arc(graph, queue, state) == brute_best_arc(graph, state)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestRepairPaths:
+    # incremental_update repairs a block of at most _FEW_ROWS in-neighbour
+    # rows one row at a time in Python and a larger one with numpy. Two
+    # copies of one instance take the same merges, one with every block
+    # forced through each path; after every merge their graphs, batches and
+    # searches must be identical, similarity bits included. Clustered rows
+    # make hubs of the merged nodes, so blocks fall on both sides of the
+    # rule (from 0 to over 40 rows at every k). Integer rows make
+    # similarities tie; continuous ones make a similarity's bits depend on
+    # the product that computed it. The merges are the queue's best arc, or
+    # a random pair one time in five and when no arc is left
+    @pytest.mark.parametrize("lazy", [True, False])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(60, 150),
+        d=st.integers(2, 5),
+        clusters=st.integers(2, 5),
+        k=st.sampled_from([1, 2, 5]),
+        values=st.sampled_from(["integer", "continuous"]),
+        sign=st.sampled_from([AlphaSign.PLUS, AlphaSign.MINUS, AlphaSign.OFF]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_paths_leave_identical_graphs(self, lazy, n, d, clusters, k, values, sign, seed):
+        rng = np.random.default_rng(seed)
+        centers = rng.integers(-3, 4, size=(clusters, d))[rng.integers(0, clusters, size=n)]
+        if values == "integer":
+            rows = centers + rng.integers(-1, 2, size=(n, d))
+        else:
+            rows = centers + rng.normal(scale=0.5, size=(n, d))
+        fm = FeatureMatrix(rows.astype(np.float32)).with_affinity(0.5, sign)
+        runs = []
+        for path in sorted(FORCED_PATHS):
+            state = ContractionState(fm)
+            runs.append((FORCED_PATHS[path], state, *build_nn_graph(state, k)))
+        lead_state, lead_graph, lead_queue = runs[0][1:]
+        while lead_state.n_alive > 1:
+            arc = best_arc(lead_graph, lead_queue, lead_state)
+            if arc is None or rng.random() < 0.2:
+                alive = lead_state.alive_ids()
+                i, j = (int(x) for x in rng.choice(alive, size=2, replace=False))
+            else:
+                i, j, _ = arc
+            out = []
+            for few_rows, state, graph, queue in runs:
+                m = state.contract(i, j)
+                with mock.patch.object(knn, "_FEW_ROWS", few_rows):
+                    batch, searches = incremental_update(graph, state, i, j, m, lazy=lazy)
+                queue.push_many(graph, batch)
+                out.append((batch, searches, graph))
+            (a, searches_a, ga), (b, searches_b, gb) = out
+            assert searches_a == searches_b
+            assert a.insertions == b.insertions
+            np.testing.assert_array_equal(a.rows, b.rows)
+            np.testing.assert_array_equal(a.best_dst, b.best_dst)
+            np.testing.assert_array_equal(bits(a.best_sim), bits(b.best_sim))
+            np.testing.assert_array_equal(ga.nbr, gb.nbr)
+            np.testing.assert_array_equal(bits(ga.sim), bits(gb.sim))
+            np.testing.assert_array_equal(ga.full_list, gb.full_list)
+            assert ga.in_index == gb.in_index
 
 
 class TestTieContract:
