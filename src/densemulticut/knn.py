@@ -9,15 +9,19 @@ an arc the graph is repaired in one of two ways. The exhaustive repair
 searches the merged node and re-searches every node that pointed at a
 parent, except rows it certifies: a row that lost one arc and for which
 the merged node beats the row's old weakest arc takes the merged node in
-the freed slot with no search. The incremental repair filters the merged
-node's neighbours from the union of its parents' neighbour lists via an
-upper bound on similarities to all other nodes. Both repair the rows of
-nodes that pointed at a parent as one block, with a single membership
-check for the merged node instead of a full search whenever possible, and
-make the searches they still need in one batched call. Each repair also
-computes the new queue entry of every row it changed, from the block, the
-merged node's ranked list and the search results it already holds, so the
-queue takes them without reading the graph again.
+the freed slot with no search. It repairs its in-neighbour block with a
+fixed handful of whole-block numpy calls, none when the merged node has no
+in-neighbours, and rewrites wholesale only the rows that failed
+certification; in most merges the merged node is the only search. The
+incremental repair filters the merged node's neighbours from the union of
+its parents' neighbour lists via an upper bound on similarities to all
+other nodes. Both repair the rows of nodes that pointed at a parent as one
+block, with a single membership check for the merged node instead of a
+full search whenever possible, and make the searches they still need,
+the merged node's included, in one call to :func:`topk_batch`. Each
+repair also computes the new queue entry of every row it changed, from
+the block, the merged node's ranked list and the search results it
+already holds, so the queue takes them without reading the graph again.
 
 The incremental repair picks how it repairs its block from the block's row
 count. Up to ``_FEW_ROWS`` rows, the in-neighbour count of most merges on
@@ -52,9 +56,11 @@ changes no ranking; a similarity's last bits can still depend on its
 column's position in the product, and on how many query rows share the
 product, since a BLAS may round a one-row product differently from a
 product of several rows (OpenBLAS does). The searches therefore keep one
-product per block of ``_BLOCK`` queries, in the order given. The graph
-and the queue are allocated once, one row per node id the solve can
-create.
+product per block of ``_BLOCK`` queries, in the order given. A search of
+at most ``_BLOCK`` queries, such as a merge's one- or two-row search, is
+one block: its product goes straight into the cut, with no output arrays
+to fill. The graph and the queue are allocated once, one row per node id
+the solve can create.
 """
 
 from __future__ import annotations
@@ -305,8 +311,8 @@ class NeighbourLists(Sequence):
         return self.ids.shape[0]
 
     def __getitem__(self, row: int) -> list[tuple[int, float]]:
-        width = int(np.count_nonzero(self.ids[row] >= 0))
-        return list(zip(self.ids[row, :width].tolist(), self.sims[row, :width].tolist()))
+        ids, sims = self.ids[row].tolist(), self.sims[row].tolist()
+        return [(t, s) for t, s in zip(ids, sims) if t >= 0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NeighbourLists):
@@ -328,27 +334,44 @@ def block_topk(
 
     ``ids[c]`` names database row ``c``; ``self_pos[r]`` is the database row
     query ``r`` must skip, its own. Similarities come from one matrix
-    product per block of 512 queries, taken in the order given, and each
-    block is cut whole by :func:`select_rows`. The grouping must stay: a
-    BLAS may round a product of one query row differently from one of
-    several, so splitting or merging blocks could move similarity bits. A
-    block of at most ``_FEW_CELLS`` similarities takes the partition cut,
-    a larger one the group-max cut.
+    product per block of ``_BLOCK`` queries, taken in the order given, and
+    each block is cut whole by :func:`select_rows`. The grouping must stay:
+    a BLAS may round a product of one query row differently from one of
+    several, so splitting or merging blocks could move similarity bits. At
+    most ``_BLOCK`` queries are one block, whose cut is returned as it is;
+    more are cut block by block into arrays allocated once. A block of at
+    most ``_FEW_CELLS`` similarities takes the partition cut, a larger one
+    the group-max cut.
     """
     if k < 1:
         raise ArgumentError("k must be at least 1")
     nq = queries.size
+    if nq <= _BLOCK:
+        return NeighbourLists(*_cut_block(qr, queries, db, ids, self_pos, k))
     out_ids = np.empty((nq, k), dtype=np.int64)
     out_sims = np.empty((nq, k))
     for start in range(0, nq, _BLOCK):
         stop = min(start + _BLOCK, nq)
-        sims = qr[queries[start:stop]] @ db.T
-        sims[np.arange(stop - start), self_pos[start:stop]] = -INF
-        out_ids[start:stop], out_sims[start:stop] = select_rows(sims, ids, k)
-        # free this block before the next product allocates its own, so at
-        # most one block of similarities is alive
-        del sims
+        out_ids[start:stop], out_sims[start:stop] = _cut_block(
+            qr, queries[start:stop], db, ids, self_pos[start:stop], k
+        )
     return NeighbourLists(out_ids, out_sims)
+
+
+def _cut_block(
+    qr: np.ndarray,
+    queries: np.ndarray,
+    db: np.ndarray,
+    ids: np.ndarray,
+    self_pos: np.ndarray,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One block of :func:`block_topk`: one product, each query's own column
+    masked, cut by :func:`select_rows`. The block's similarities are freed
+    on return, before the next block's product allocates its own."""
+    sims = qr[queries] @ db.T
+    sims[np.arange(queries.size), self_pos] = -INF
+    return select_rows(sims, ids, k)
 
 
 def topk_exact(state: ContractionState, query: int, k: int) -> list[tuple[int, float]]:
@@ -414,9 +437,6 @@ class NNGraph:
 
     def targets(self, u: int) -> list[int]:
         return [t for t, _ in self.arcs(u)]
-
-    def min_sim(self, u: int) -> float:
-        return min((s for _, s in self.arcs(u)), default=INF)
 
     def _clear_row(self, u: int) -> list[tuple[int, float]]:
         """Empty u's row; returns the arcs it held."""
@@ -848,37 +868,70 @@ def exhaustive_update(
     takes the freed slot and the row is again exact, with m in place of the
     parent, at no search. A row shorter than k lists every node it was
     ranked against; its ``-inf`` pad certifies it whenever it lost one arc.
-    The rows are repaired as one block, with one batched search for m and
-    the uncertified rows, and the batch carries every changed row's new
+
+    The in-neighbour rows are repaired as one block: gathered with
+    ``take``, the weakest arc from one ``min`` per row, the arcs to i and
+    j dropped and m inserted with masked writes, and the block written back
+    whole. The per-row count of lost arcs is taken only when some row
+    listed both parents. When m has no in-neighbours the block work is
+    skipped. m and the uncertified rows are searched in one call to
+    :func:`topk_batch`, m first; m's row is written by
+    :meth:`NNGraph.fill_row` and only the uncertified rows go through
+    :meth:`NNGraph.set_rows`. The batch carries every changed row's new
     queue entry, taken from the repaired block or the search results.
-    Returns (the batch, number of exhaustive searches performed).
+    Returns (the batch, number of exhaustive searches performed, m's
+    included).
     """
     state.check_alive(m)
     graph._clear_row(i)
     graph._clear_row(j)
     rows = _in_neighbours(graph, i, j, m)
     q_ids = rows[3:]
-    nbr = graph.nbr[q_ids]
-    sim = graph.sim[q_ids]
-    row, col = np.nonzero((nbr == i) | (nbr == j))
-    weakest = sim[np.arange(q_ids.size), sim.argmin(axis=1)]
-    sims_qm = state.packed[state.slot.item(m)] @ state.packed_q[state.slot[q_ids]].T
-    certified = (np.bincount(row, minlength=q_ids.size) == 1) & (sims_qm > weakest)
-    won = certified[row]
-    nbr[row, col] = np.where(won, m, -1)
-    sim[row, col] = np.where(won, sims_qm[row], -INF)
-    graph.nbr[q_ids] = nbr
-    graph.sim[q_ids] = sim
-    q_cert = q_ids[certified]
-    graph.in_index[m] = set(q_cert.tolist())
+    r = q_ids.size
+    best_dst = np.empty(rows.size, dtype=np.int64)
+    best_sim = np.empty(rows.size)
+    queries = rows[2:3]
+    insertions = 0
+    if r:
+        nbr = graph.nbr.take(q_ids, axis=0)
+        sim = graph.sim.take(q_ids, axis=0)
+        gone = (nbr == i) | (nbr == j)
+        sims_qm = (
+            state.packed[state.slot.item(m)]
+            @ state.packed_q.take(state.slot.take(q_ids), axis=0).T
+        )
+        # m beats the weakest arc before the drop, a short row's -inf pad
+        # included; every row lost an arc, so only one that lost two needs
+        # the per-row count
+        passes = sims_qm > sim.min(axis=1)
+        if np.count_nonzero(gone) > r:
+            passes &= np.count_nonzero(gone, axis=1) == 1
+        np.putmask(nbr, gone, -1)
+        np.putmask(sim, gone, -INF)
+        won = gone & passes[:, None]
+        np.copyto(nbr, m, where=won)
+        np.copyto(sim, sims_qm[:, None], where=won)
+        graph.nbr[q_ids] = nbr
+        graph.sim[q_ids] = sim
+        certified = q_ids[passes].tolist()
+        insertions = len(certified)
+        if certified:
+            graph.in_index[m] = set(certified)
+        best_dst[3:], best_sim[3:] = _row_best(sim, nbr)
+        if insertions < r:
+            failed = (~passes).nonzero()[0]
+            queries = np.concatenate((queries, q_ids[failed]))
 
-    failed = ~certified
-    queries = np.concatenate(([m], q_ids[failed]))
     lists = topk_batch(state, queries, graph.k)
-    graph.set_rows(queries, lists.ids, lists.sims, from_full=True)
-    top_dst, top_sim = _row_best(sim, nbr)
-    top_dst[failed] = lists.ids[1:, 0]
-    top_sim[failed] = lists.sims[1:, 0]
-    best_dst = np.concatenate(([-1, -1, lists.ids[0, 0]], top_dst))
-    best_sim = np.concatenate(([-INF, -INF, lists.sims[0, 0]], top_sim))
-    return ArcBatch(rows, best_sim, best_dst, q_cert.size), queries.size
+    # m is a fresh id, so its row is empty
+    arcs_m = lists[0]
+    graph.fill_row(m, arcs_m)
+    graph.full_list[m] = True
+    head_dst, head_sim = arcs_m[0] if arcs_m else (-1, -INF)
+    best_dst[:3] = -1, -1, head_dst
+    best_sim[:3] = -INF, -INF, head_sim
+    if insertions < r:
+        graph.set_rows(queries[1:], lists.ids[1:], lists.sims[1:], from_full=True)
+        best_dst[3:][failed] = lists.ids[1:, 0]
+        best_sim[3:][failed] = lists.sims[1:, 0]
+    return ArcBatch(rows, best_sim, best_dst, insertions), queries.size

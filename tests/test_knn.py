@@ -115,7 +115,7 @@ class TestBuildGraph:
         graph, _ = build_nn_graph(state, 3)
         for i in range(10):
             arc_targets = set(graph.targets(i))
-            worst = graph.min_sim(i)
+            worst = min(s for _, s in graph.arcs(i))
             for v in range(10):
                 if v != i and v not in arc_targets:
                     assert state.sim(i, v) <= worst + 1e-12

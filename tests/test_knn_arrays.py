@@ -45,13 +45,15 @@ def assert_matches_brute(state, queries, k, lists):
 
 
 class TestBlockTopk:
-    def test_tied_kth_values_across_blocks_and_slices(self):
-        # 5^2 distinct rows among 700 nodes: nearly every k-th value is tied,
-        # and the queries span two GEMM blocks and many selection slices
+    @pytest.mark.parametrize("nq", [1, knn._BLOCK, knn._BLOCK + 1, 700])
+    def test_tied_kth_values_across_blocks_and_slices(self, nq):
+        # 5^2 distinct rows among 700 nodes: nearly every k-th value is tied;
+        # up to _BLOCK queries are cut as one block, more span two GEMM blocks
         state = integer_state(700, 2, seed=1)
-        queries = np.arange(700)
+        queries = np.arange(nq)
         lists = topk_batch(state, queries, 4)
-        sample = queries[::7]
+        assert len(lists) == nq
+        sample = np.unique(np.r_[queries[::7], queries[-1]])
         assert_matches_brute(state, sample, 4, [lists[int(q)] for q in sample])
 
     @pytest.mark.parametrize("k", [1, 3, 6])
@@ -256,7 +258,15 @@ class TestUpdateEntries:
             i, j = (int(x) for x in rng.choice(state.alive_ids(), size=2, replace=False))
             m = state.contract(i, j)
             if update == "exhaustive":
-                batch, _ = exhaustive_update(graph, state, i, j, m)
+                # every search, m's included, goes through topk_batch, which
+                # the solvers' and the benchmark tracer's search counts read
+                with mock.patch.object(knn, "topk_batch", wraps=topk_batch) as spy:
+                    batch, searches = exhaustive_update(graph, state, i, j, m)
+                queries = [q for c in spy.call_args_list for q in np.atleast_1d(c.args[1])]
+                assert queries.count(m) == 1
+                assert searches == len(queries)
+                assert graph.full_list[m]
+                graph.validate(state)
             else:
                 batch, _ = incremental_update(graph, state, i, j, m, lazy=update == "lazy")
             queue.push_many(graph, batch)

@@ -12,7 +12,10 @@ The default mode solves the three benchmark instances (the workloads of
 under the benchmark's solver settings. ``--suite`` instead solves the 100
 ``clustered_instance``\\ s of the test suite with ``dgaec``,
 ``dgaec-inc``, ``dlaec`` and ``dapplaec``, the last once seeded from an
-``ExactIndex`` and once from the default index.
+``ExactIndex`` and once from the default index, and with ``dgaec`` at
+k = 3 as well: at its default k = 1 a row's only arc is always the one a
+merge drops, so the repair's test for a row that lost exactly one of
+several arcs never varies.
 
 Each solve prints one line with short digests of its merge pairs
 ``(i, j, m)``, its labels, its objective's bits and its similarities' bits.
@@ -77,8 +80,8 @@ def bench_solves(seeds: list[int]):
 
 def suite_solves():
     """(key, solve thunk) for the test suite's clustered instances: ``dgaec``,
-    ``dgaec-inc`` and ``dlaec``, then ``dapplaec`` through an ``ExactIndex``
-    and through the default index."""
+    ``dgaec-inc`` and ``dlaec``, ``dgaec`` at k = 3, then ``dapplaec``
+    through an ``ExactIndex`` and through the default index."""
     sys.path.insert(0, str(ROOT / "tests"))
     from conftest import clustered_instance
     from densemulticut.ann import ExactIndex
@@ -92,6 +95,8 @@ def suite_solves():
         for alg in ("dgaec", "dgaec-inc", "dlaec"):
             cfg = SolverConfig(algorithm=alg, alpha=0.4, alpha_sign=sign)
             yield f"{alg} instance {idx}", (lambda fm=fm, cfg=cfg: solve(fm, cfg))
+        cfg = SolverConfig(algorithm="dgaec", k=3, alpha=0.4, alpha_sign=sign)
+        yield f"dgaec k 3 instance {idx}", (lambda fm=fm, cfg=cfg: solve(fm, cfg))
         cfg = SolverConfig(algorithm="dapplaec", alpha=0.4, alpha_sign=sign)
         for name, factory in (("exact-index", exact), ("default-index", None)):
             key = f"dapplaec {name} instance {idx}"
@@ -120,8 +125,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     p.add_argument("--suite", action="store_true",
-                   help="solve the test suite's clustered instances with dgaec, "
-                   "dgaec-inc, dlaec and dapplaec")
+                   help="solve the test suite's clustered instances with dgaec "
+                   "(k 1 and 3), dgaec-inc, dlaec and dapplaec")
     p.add_argument("--save", type=Path, help="write the full records to this JSON file")
     p.add_argument("--against", type=Path, help="compare with records saved by --save")
     return p.parse_args(argv)
