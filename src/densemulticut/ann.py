@@ -57,7 +57,11 @@ class ExactIndex(AnnIndex):
 
     Contiguous float64 rows are kept as given, not copied: an index built
     over a contraction state's packed rows sees every later contraction,
-    so it must not outlive the initial graph.
+    so it must not outlive the initial graph. :meth:`self_knn` is the exact
+    graph builder's search (:func:`~densemulticut.knn.block_topk`): more
+    than ``_BLOCK`` rows are screened in float32 and their winners
+    rescored in float64 pair by pair, so its lists equal the builder's bit
+    for bit.
     """
 
     exact = True
@@ -73,8 +77,8 @@ class ExactIndex(AnnIndex):
         return self.db.shape[0]
 
     def self_knn(self, k: int) -> NeighbourLists:
-        # the exact graph builder's blocked search, so a run seeded from this
-        # index reproduces the exact builder's arcs bit for bit
+        # the exact graph builder's search, so a run seeded from this index
+        # reproduces the exact builder's arcs bit for bit
         ids = np.arange(self.n)
         return block_topk(self.qr, ids, self.db, ids, ids, k)
 

@@ -18,7 +18,9 @@ the affinity sign is MINUS), so an exact search multiplies against the
 alive rows without gathering them.
 
 Features are stored in 32-bit precision; all similarity arithmetic is
-accumulated in 64-bit.
+accumulated in 64-bit. The exact graph builds screen candidates with
+float32 products first (``knn.block_topk``), but that screen only picks
+candidates: every similarity they keep is rescored in 64-bit.
 """
 
 from __future__ import annotations

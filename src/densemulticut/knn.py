@@ -52,15 +52,18 @@ The contraction state holds the alive nodes' rows only, packed in slots
 goes through ``ContractionState.slot``. The exact searches multiply query
 rows straight against ``packed[:n_alive]``, whose columns are not in id
 order. The selection ranks ids in any order, so the order of the columns
-changes no ranking; a similarity's last bits can still depend on its
-column's position in the product, and on how many query rows share the
-product, since a BLAS may round a one-row product differently from a
-product of several rows (OpenBLAS does). The searches therefore keep one
-product per block of ``_BLOCK`` queries, in the order given. A search of
-at most ``_BLOCK`` queries, such as a merge's one- or two-row search, is
-one block: its product goes straight into the cut, with no output arrays
-to fill. The graph and the queue are allocated once, one row per node id
-the solve can create.
+changes no ranking. A search of at most ``_BLOCK`` queries, such as a
+merge's one- or two-row search, is one float64 product that goes straight
+into the cut; its similarity bits can depend on the column's position and
+on how many query rows share the product, since a BLAS may round a one-row
+product differently from a product of several rows (OpenBLAS does). A
+larger search, every graph build, is screened: each block of ``_BLOCK``
+queries is multiplied in float32 and cut under a rigorous bound on the
+rounding error, and the few entries that may rank are rescored in float64
+one pair at a time and ranked. The selection is exact, every similarity
+is a float64 inner product, and its bits depend on the pair alone, not on
+the blocking. The graph and the queue are allocated once, one row per
+node id the solve can create.
 """
 
 from __future__ import annotations
@@ -210,7 +213,8 @@ def _select_groups(
     """
     r, c = sims.shape
     if r and c and k:
-        return _cut_ranked(r, k, *_above_threshold(sims, ids, k))
+        rows, cols, picked = _above_threshold(sims, k)
+        return _cut_ranked(r, k, rows, ids[cols], picked)
     return np.full((r, k), -1, dtype=np.int64), np.full((r, k), -INF)
 
 
@@ -261,30 +265,36 @@ def _row_best(sims: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _above_threshold(
-    sims: np.ndarray, ids: np.ndarray, k: int
+    sims: np.ndarray, k: int, slack: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, id and similarity of every entry that may rank in the top k of
-    its row: the finite entries at or above the row's group-max threshold."""
+    """Row, column and similarity of every entry that may rank in the top k
+    of its row: the finite entries at or above the row's group-max
+    threshold. ``slack``, one value per row (zero when ``None``), lowers
+    each row's threshold by that much, rounded down to the block's dtype."""
     r, c = sims.shape
     g = max(k, min(_GROUPS, c // 4))
     span = c // g * g
     # the floor keeps -inf entries out when a row has fewer than k finite ones
     floor = np.finfo(sims.dtype).min
-    rows, cols, picked = [], [], []
     if span:
         # splitting the column axis is a view for any strides, so the block
         # is never copied
         groups = sims[:, :span].reshape(r, c // g, g)
         gmax = groups.max(axis=1)
         t = np.maximum(np.partition(gmax, g - k, axis=1)[:, g - k], floor)
+    else:
+        t = np.full(r, floor, dtype=sims.dtype)
+    if slack is not None:
+        # the cast rounds to nearest, so one step down rounds down
+        t = np.maximum(np.nextafter((t - slack).astype(sims.dtype), -INF), floor)
+    rows, cols, picked = [], [], []
+    if span:
         hit_row, hit_group = np.nonzero(gmax >= t[:, None])
         vals = groups[hit_row, :, hit_group]
         at, pos = np.nonzero(vals >= t[hit_row, None])
         rows.append(hit_row[at])
         cols.append(hit_group[at] + g * pos)
         picked.append(vals[at, pos])
-    else:
-        t = np.full(r, floor, dtype=sims.dtype)
     if span < c:
         tail = sims[:, span:]
         tail_row, tail_col = np.nonzero(tail >= t[:, None])
@@ -292,7 +302,7 @@ def _above_threshold(
         cols.append(tail_col + span)
         picked.append(tail[tail_row, tail_col])
     rows, cols, picked = (np.concatenate(a) for a in (rows, cols, picked))
-    return rows, ids[cols], picked
+    return rows, cols, picked
 
 
 class NeighbourLists(Sequence):
@@ -333,29 +343,82 @@ def block_topk(
     """Exact top-k of query rows ``qr[queries]`` against database rows ``db``.
 
     ``ids[c]`` names database row ``c``; ``self_pos[r]`` is the database row
-    query ``r`` must skip, its own. Similarities come from one matrix
-    product per block of ``_BLOCK`` queries, taken in the order given, and
-    each block is cut whole by :func:`select_rows`. The grouping must stay:
-    a BLAS may round a product of one query row differently from one of
-    several, so splitting or merging blocks could move similarity bits. At
-    most ``_BLOCK`` queries are one block, whose cut is returned as it is;
-    more are cut block by block into arrays allocated once. A block of at
-    most ``_FEW_CELLS`` similarities takes the partition cut, a larger one
-    the group-max cut.
+    query ``r`` must skip, its own. At most ``_BLOCK`` queries, such as a
+    merge's one- or two-row search, are one block: one float64 product, in
+    the order given, cut whole by :func:`select_rows` and returned as it is.
+    A BLAS may round a product of one query row differently from one of
+    several, so these similarity bits depend on the block.
+
+    More queries, every graph build, are screened block by block of
+    ``_BLOCK`` queries into arrays allocated once (:func:`_screen_block`):
+    each block is multiplied in float32 against ``db`` converted once per
+    call, every entry that may rank in a row's top k is gathered under the
+    row's rounding-error slack (:func:`_screen_slack`), and the gathered
+    pairs are rescored in float64 one dot product each and ranked. The
+    float32 values only pick candidates: every similarity returned is a
+    float64 inner product whose bits do not depend on the blocking, and the
+    selection is exact. When a row norm lies outside the range where the
+    slack holds (float32 products could overflow or fall into subnormals),
+    the call takes the float64 products of the one-block path instead.
     """
     if k < 1:
         raise ArgumentError("k must be at least 1")
     nq = queries.size
     if nq <= _BLOCK:
         return NeighbourLists(*_cut_block(qr, queries, db, ids, self_pos, k))
+    q_norms = np.sqrt(np.einsum("ij,ij->i", qr, qr))[queries]
+    d_max = np.sqrt(np.einsum("ij,ij->i", db, db).max(initial=0.0))
+    screen = _screen_slack(q_norms, d_max, db.shape[1])
+    if screen is not None:
+        db32 = db.astype(np.float32)
     out_ids = np.empty((nq, k), dtype=np.int64)
     out_sims = np.empty((nq, k))
     for start in range(0, nq, _BLOCK):
         stop = min(start + _BLOCK, nq)
-        out_ids[start:stop], out_sims[start:stop] = _cut_block(
-            qr, queries[start:stop], db, ids, self_pos[start:stop], k
+        block = queries[start:stop], db, ids, self_pos[start:stop], k
+        out_ids[start:stop], out_sims[start:stop] = (
+            _cut_block(qr, *block)
+            if screen is None
+            else _screen_block(qr, *block, db32, screen[start:stop])
         )
     return NeighbourLists(out_ids, out_sims)
+
+
+def _screen_slack(q_norms: np.ndarray, d_max: float, dim: int) -> np.ndarray | None:
+    """Per query, how far below its float32 threshold an entry may lie and
+    still rank in its exact top k; ``None`` when float32 cannot screen.
+
+    For rows of ``dim`` entries, a float32 product of the rows rounded to
+    float32 differs from the exact inner product by at most
+    ``γ32·‖q‖·‖d‖``, and a float64 dot product of the float64 rows by at
+    most ``γ64·‖q‖·‖d‖``, where ``γ = n·u / (1 − n·u)`` with ``n = dim + 2``
+    roundings per term (two for the casts) and ``u`` the unit roundoff
+    (Higham, Accuracy and Stability of Numerical Algorithms, §3.1; any
+    summation order, with or without FMA). So the float32 and float64
+    values of a pair differ by at most ``e = (γ32 + γ64)·‖q‖·max‖d‖``. A row
+    has at least k float32 values at or above its threshold ``t``, hence at
+    least k float64 values at or above ``t − e``, so every entry of its
+    float64 top k has a float32 value of at least ``t − 2e``: the slack is
+    ``2e``. γ exceeds the bound's exact form ``(1 + u)^n − 1`` by about
+    ``(n·u)²/2``, a relative ``n·u/2`` that covers the norms' own float64
+    rounding, about ``dim·2^-53`` relative.
+
+    The bound assumes no float32 overflow and no underflow that matters.
+    Both hold when ``max‖d‖`` and every nonzero query norm lie within the
+    fourth roots of float32's normal range, about ``[2^-31.5, 2^32]``:
+    products then stay below ``2^64``, and the absolute rounding errors of
+    subnormal casts and products stay below ``dim·2^-87`` relative to
+    ``‖q‖·max‖d‖``, again inside that margin. A zero query row has only
+    exact zero products.
+    """
+    f32 = np.finfo(np.float32)
+    lo, hi = float(f32.smallest_normal) ** 0.25, float(f32.max) ** 0.25
+    in_range = (q_norms == 0.0) | ((q_norms >= lo) & (q_norms <= hi))
+    if not (lo <= d_max <= hi and in_range.all()):
+        return None
+    n = dim + 2
+    g32, g64 = (n * u / (1.0 - n * u) for u in (2.0**-24, 2.0**-53))
+    return 2.0 * (g32 + g64) * d_max * q_norms
 
 
 def _cut_block(
@@ -372,6 +435,32 @@ def _cut_block(
     sims = qr[queries] @ db.T
     sims[np.arange(queries.size), self_pos] = -INF
     return select_rows(sims, ids, k)
+
+
+def _screen_block(
+    qr: np.ndarray,
+    queries: np.ndarray,
+    db: np.ndarray,
+    ids: np.ndarray,
+    self_pos: np.ndarray,
+    k: int,
+    db32: np.ndarray,
+    slack: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One screened block of :func:`block_topk`: a float32 product, each
+    query's own column masked, the entries within ``slack`` of each row's
+    group-max threshold gathered, rescored in float64 and ranked.
+
+    Each pair is rescored by its own dot product (``einsum`` over the
+    gathered rows), whose bits do not depend on which other pairs share
+    the call, unlike a row of a matrix product.
+    """
+    q = qr[queries]
+    sims = q.astype(np.float32) @ db32.T
+    sims[np.arange(queries.size), self_pos] = -INF
+    rows, cols, _ = _above_threshold(sims, k, slack)
+    exact = np.einsum("ij,ij->i", q[rows], db[cols])
+    return _cut_ranked(queries.size, k, rows, ids[cols], exact)
 
 
 def topk_exact(state: ContractionState, query: int, k: int) -> list[tuple[int, float]]:

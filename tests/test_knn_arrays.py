@@ -72,6 +72,116 @@ class TestBlockTopk:
         assert_matches_brute(state, np.arange(4), 5, lists)
 
 
+def brute_block(qr, queries, db, ids, self_pos, k):
+    """Reference for ``knn.block_topk``: one float64 product, ranked by
+    (-sim, id) row by row."""
+    sims = qr[queries] @ db.T
+    sims[np.arange(queries.size), self_pos] = -np.inf
+    order = np.lexsort((np.broadcast_to(ids, sims.shape), -sims))[:, :k]
+    return ids[order], np.take_along_axis(sims, order, axis=1)
+
+
+def assert_sims_close(qr, queries, db, got, want):
+    """Similarities agree to a relative 1e-12 of each row's scale
+    ``‖q‖·max‖d‖``, the bound on any of its similarities; a similarity near
+    zero from cancelling terms carries float64 rounding of that scale."""
+    q = qr[queries]
+    scale = np.sqrt(np.einsum("ij,ij->i", q, q) * np.einsum("ij,ij->i", db, db).max())
+    assert (np.abs(got - want) <= 1e-12 * scale[:, None]).all()
+
+
+def spread_rows(n, d, seed):
+    """Continuous rows with norms spread over 10^0 to 10^3, like the merged
+    rows of hub clusters, and their search arguments: ids out of order and
+    more than ``_BLOCK`` queries, each skipping its own row."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(0, 3, n)[:, None]
+    ids = rng.permutation(n) + 100
+    queries = rng.permutation(n)[: knn._BLOCK + 88]
+    return rows, ids, queries
+
+
+class TestScreenedSearch:
+    """Searches of more than ``_BLOCK`` queries: float32 screen, float64
+    rescore."""
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("d", [3, 33])
+    def test_spread_norms_match_brute_force(self, k, d):
+        db, ids, queries = spread_rows(700, d, seed=d)
+        qr = db.copy()
+        qr[:, -1] *= -1.0  # query rows differ from database rows, as under MINUS
+        with mock.patch.object(knn, "_screen_block", wraps=knn._screen_block) as spy:
+            got = knn.block_topk(qr, queries, db, ids, queries, k)
+        assert spy.call_count == 2
+        want_ids, want_sims = brute_block(qr, queries, db, ids, queries, k)
+        np.testing.assert_array_equal(got.ids, want_ids)
+        assert_sims_close(qr, queries, db, got.sims, want_sims)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_float32_inversions_at_the_kth_place(self, k):
+        # per query, k - 1 clear winners, then B = 1 + 2^-26, A = 1 and
+        # C = 1 - 2^-26, which all round to the float32 1. B's row cancels
+        # 2^24 + 0.75 + 2^-26 against -2^24, so its float32 product reads
+        # 0 or 0.25, far below A's exact 1: B ranks k-th, but only a slack
+        # wider than float32 rounding gathers it. A and C tie in float32.
+        big = 2.0**24
+        tops = np.array([[0.0, 0.0, 3.0 - 0.25 * t] for t in range(k - 1)]).reshape(-1, 3)
+        specials = [
+            [big + 0.75 + 2.0**-26, -big, 0.25],
+            [0.0, 0.0, 1.0],
+            [0.0, 0.0, 1.0 - 2.0**-26],
+        ]
+        rng = np.random.default_rng(3)
+        fillers = np.c_[np.zeros((600, 2)), rng.uniform(-0.5, 0.5, 600)]
+        db = np.concatenate([tops, specials, fillers])
+        nq = knn._BLOCK + 100
+        # power-of-two scales keep every product exact in both precisions
+        qr = np.ones((nq, 3)) * 2.0 ** (np.arange(nq) % 4)[:, None]
+        ids = np.random.default_rng(4).permutation(db.shape[0])
+        self_pos = db.shape[0] - 1 - np.arange(nq) % 50
+        got = knn.block_topk(qr, np.arange(nq), db, ids, self_pos, k)
+        scale = 2.0 ** (np.arange(nq) % 4)[:, None]
+        want = np.array([3.0 - 0.25 * t for t in range(k - 1)] + [1.0 + 2.0**-26])
+        np.testing.assert_array_equal(got.ids, np.broadcast_to(ids[:k], (nq, k)))
+        np.testing.assert_array_equal(got.sims, want * scale)
+
+    def test_results_do_not_depend_on_the_blocking(self):
+        db, ids, queries = spread_rows(700, 33, seed=5)
+        runs = []
+        for block in (64, 256):
+            with mock.patch.object(knn, "_BLOCK", block):
+                runs.append(knn.block_topk(db, queries, db, ids, queries, 5))
+        np.testing.assert_array_equal(runs[0].ids, runs[1].ids)
+        np.testing.assert_array_equal(runs[0].sims.view(np.int64), runs[1].sims.view(np.int64))
+
+    def test_a_pair_rescores_alone_as_in_a_batch(self):
+        db, ids, queries = spread_rows(700, 129, seed=6)
+        got = knn.block_topk(db, queries, db, ids, queries, 5)
+        reverse = knn.block_topk(db, queries[::-1], db, ids, queries[::-1], 5)
+        np.testing.assert_array_equal(reverse.sims[::-1].view(np.int64), got.sims.view(np.int64))
+        pos = np.argsort(ids)
+        for row in range(0, queries.size, 37):
+            u = queries[row]
+            for t, s in got[row]:
+                v = pos[t - 100]
+                alone = np.einsum("ij,ij->i", db[u : u + 1], db[v : v + 1])[0]
+                assert alone.view(np.int64) == np.float64(s).view(np.int64)
+
+    @pytest.mark.parametrize("scale", [1e-25, 1e20])
+    def test_magnitudes_outside_float32_take_float64_products(self, scale):
+        rng = np.random.default_rng(7)
+        db = rng.standard_normal((700, 33)) * scale
+        ids = np.arange(700)
+        queries = ids[: knn._BLOCK + 50]
+        with mock.patch.object(knn, "_screen_block", wraps=knn._screen_block) as spy:
+            got = knn.block_topk(db, queries, db, ids, queries, 5)
+        assert spy.call_count == 0
+        want_ids, want_sims = brute_block(db, queries, db, ids, queries, 5)
+        np.testing.assert_array_equal(got.ids, want_ids)
+        assert_sims_close(db, queries, db, got.sims, want_sims)
+
+
 class TestPackedSearch:
     # at least n/2 random merges scramble the packed order, so the packed
     # columns are far from ascending id order when the searches run

@@ -5,6 +5,7 @@ partition cut's ranking limit ``_FEW_ENTRIES``.
 Usage, from the repository root::
 
     python3 tools/cut_bench.py
+    python3 tools/cut_bench.py --build
 
 For every block of r rows and c columns, r in {1, 2, 3, 4, 8, 512} and c in
 {40, 400, 1000, 8000}, every k in {2, 5}, and two kinds of values, it
@@ -20,12 +21,28 @@ row's k-th value is tied with about half its entries; each row has one
 shuffled range. All cuts must return identical arrays on every block; the
 exit code is 1 when they do not, else 0.
 
+``--build`` instead times the graph builds' screened search. For each
+benchmark instance (seed 7, the benchmark's affinity) and for one state
+after n/2 random contractions of it, whose merged rows have larger norms,
+it times ``knn.topk_batch`` over every alive node at k in {1, 5}, the
+median of three calls, and prints the entries per row the screen gathers
+and rescores (``fallback`` when the call took float64 products). It
+compares each result with a float64 reference made of one-block
+``block_topk`` calls of ``_BLOCK`` queries each, also timed; the exit code
+is 1 unless the ids are equal and the similarities agree to a relative
+1e-12 on every search, else 0. The relative error is taken against a
+row's scale ``‖q‖·max‖d‖``, the bound on any of its similarities: a
+similarity near zero from cancelling terms carries float64 rounding of
+that scale, not of itself.
+
 BLAS runs on the benchmark's thread count, as in ``tools/trace_digest.py``.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
+import statistics
 import sys
 import timeit
 from pathlib import Path
@@ -37,6 +54,9 @@ COLS = (40, 400, 1000, 8000)
 KS = (2, 5)
 KINDS = ("normal", "tied")
 REPEATS = 5
+BUILD_SEED = 7
+BUILD_KS = (1, 5)
+BUILD_REPEATS = 3
 
 
 def per_call_us(cut, sims, ids, k) -> float:
@@ -47,10 +67,96 @@ def per_call_us(cut, sims, ids, k) -> float:
     return sorted(timer.repeat(REPEATS, number))[REPEATS // 2] / number * 1e6
 
 
-def main() -> int:
+def build_states():
+    """(label, state) for every benchmark instance at ``BUILD_SEED``, fresh
+    and after n/2 random contractions."""
+    import numpy as np
+
+    from densemulticut.core import ContractionState
+    from solverbench import bench
+
+    for workload in bench.WORKLOADS.values():
+        fm = workload.regime.instance(BUILD_SEED).with_affinity(bench.ALPHA, bench.SIGN)
+        yield f"{workload.name} n {fm.n}", ContractionState(fm)
+        state = ContractionState(fm)
+        rng = np.random.default_rng(BUILD_SEED)
+        for _ in range(fm.n // 2):
+            i, j = rng.choice(state.alive_ids(), size=2, replace=False)
+            state.contract(int(i), int(j))
+        yield f"{workload.name} merged n {state.n_alive}", state
+
+
+def build_main() -> int:
+    import numpy as np
+
+    from densemulticut import knn
+
+    def median_s(run) -> float:
+        return statistics.median(timeit.repeat(run, number=1, repeat=BUILD_REPEATS))
+
+    def float64_blocks(state, queries, k):
+        pos = state.slot[queries]
+        n = state.n_alive
+        parts = [
+            knn.block_topk(
+                state.packed_q, pos[a : a + knn._BLOCK], state.packed[:n],
+                state.order[:n], pos[a : a + knn._BLOCK], k,
+            )
+            for a in range(0, queries.size, knn._BLOCK)
+        ]
+        return np.concatenate([p.ids for p in parts]), np.concatenate([p.sims for p in parts])
+
+    above = knn._above_threshold
+    gathered: list[int] = []
+
+    def counting(sims, k, slack=None):
+        out = above(sims, k, slack)
+        if slack is not None:
+            gathered.append(out[0].size)
+        return out
+
+    print(f"_BLOCK = {knn._BLOCK}, seed {BUILD_SEED}")
+    print(f"{'state':>28} {'k':>2} {'screened_s':>10} {'float64_s':>10} {'per_row':>8} result")
+    failures = 0
+    for label, state in build_states():
+        queries = state.alive_ids()
+        for k in BUILD_KS:
+            screened_s = median_s(lambda: knn.topk_batch(state, queries, k))
+            float64_s = median_s(lambda: float64_blocks(state, queries, k))
+            gathered.clear()
+            knn._above_threshold = counting
+            try:
+                got = knn.topk_batch(state, queries, k)
+            finally:
+                knn._above_threshold = above
+            want_ids, want_sims = float64_blocks(state, queries, k)
+            q = state.packed_q[state.slot[queries]]
+            d = state.packed[: state.n_alive]
+            scale = np.sqrt(np.einsum("ij,ij->i", q, q) * np.einsum("ij,ij->i", d, d).max())
+            ok = np.array_equal(got.ids, want_ids) and bool(
+                (np.abs(got.sims - want_sims) <= 1e-12 * scale[:, None]).all()
+            )
+            failures += not ok
+            per_row = f"{sum(gathered) / queries.size:.2f}" if gathered else "fallback"
+            print(
+                f"{label:>28} {k:>2} {screened_s:>10.3f} {float64_s:>10.3f} {per_row:>8} "
+                f"{'equal' if ok else 'DIFFERS'}",
+                flush=True,
+            )
+    print("every search equals the float64 reference" if not failures else f"{failures} differ")
+    return 1 if failures else 0
+
+
+def main(argv: list[str]) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--build", action="store_true",
+                   help="time the graph builds' screened search instead of the cuts")
+    args = p.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = BLAS_THREADS
-    sys.path.insert(0, str(ROOT / "src"))
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    if args.build:
+        return build_main()
     # numpy loads only after the BLAS thread count is pinned
     import numpy as np
 
@@ -101,4 +207,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

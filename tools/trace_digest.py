@@ -22,8 +22,10 @@ Each solve prints one line with short digests of its merge pairs
 ``--save`` writes every solve's full record to a JSON file; ``--against``
 reads such a file and adds, per solve, whether the pairs, the labels and
 the objective bits equal it, how many steps' similarity bits differ and
-the largest absolute difference. The exit code is 1 when any pairs,
-labels or objective differ from the reference, else 0.
+the largest absolute difference; for a solve whose pairs differ it also
+prints the first differing step, its index and both ``(i, j, m, sim)``
+records. The exit code is 1 when any pairs, labels or objective differ
+from the reference, else 0.
 
 BLAS runs on the benchmark's thread count, so a similarity's bits do not
 depend on the machine's core count beyond it.
@@ -58,6 +60,7 @@ def record(result) -> dict:
     return {
         "steps": len(result.trace),
         "pairs": _digest(pairs.tobytes()),
+        "pair_list": pairs.tolist(),
         "labels": _digest(np.asarray(result.labels, dtype=np.int64).tobytes()),
         "objective": float(result.partition.objective).hex(),
         "sim_digest": _digest(sims.tobytes()),
@@ -113,12 +116,25 @@ def compare(got: dict, ref: dict) -> tuple[bool, str]:
     same = {f: got[f] == ref[f] for f in ("pairs", "labels", "objective")}
     note = " ".join(f"{f} {'same' if ok else 'DIFF'}" for f, ok in same.items())
     if got["steps"] != ref["steps"]:
-        return False, f"{note} steps {ref['steps']} -> {got['steps']}"
-    a = got["sims"]
-    b = ref["sims"]
-    moved = [abs(x - y) for x, y in zip(a, b) if x != y]
-    note += f" sim_moves {len(moved)}/{len(a)} max_abs {max(moved, default=0.0):.3g}"
+        note += f" steps {ref['steps']} -> {got['steps']}"
+    else:
+        a = got["sims"]
+        b = ref["sims"]
+        moved = [abs(x - y) for x, y in zip(a, b) if x != y]
+        note += f" sim_moves {len(moved)}/{len(a)} max_abs {max(moved, default=0.0):.3g}"
+    if not same["pairs"]:
+        note += first_difference(got, ref)
     return all(same.values()), note
+
+
+def first_difference(got: dict, ref: dict) -> str:
+    """The first step whose pair differs from the reference, as both
+    ``(i, j, m, sim)`` records."""
+    steps = zip(got["pair_list"], got["sims"], ref["pair_list"], ref["sims"])
+    for step, (p, s, q, t) in enumerate(steps):
+        if p != q:
+            return f" first diff at step {step}: ref {(*q, t)!r} got {(*p, s)!r}"
+    return ""
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
