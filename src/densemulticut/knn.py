@@ -2,28 +2,36 @@
 
 The graph stores every node's outgoing arcs in two padded arrays, ``nbr``
 (target ids, ``-1`` pad) and ``sim`` (cached similarities, ``-inf`` pad),
-one row of ``k`` slots per node id, plus the exact reverse-adjacency index.
-The candidate queue keeps one entry per node, the best arc of its row, and
-the contraction loop takes the argmax over those entries. After contracting
-an arc the graph is repaired in one of two ways. The exhaustive repair
-searches the merged node and re-searches every node that pointed at a
-parent, except rows it certifies: a row that lost one arc and for which
-the merged node beats the row's old weakest arc takes the merged node in
-the freed slot with no search. It repairs its in-neighbour block with a
-fixed handful of whole-block numpy calls, none when the merged node has no
-in-neighbours, and rewrites wholesale only the rows that failed
-certification; in most merges the merged node is the only search. The
-incremental repair filters the merged node's neighbours from the union of
-its parents' neighbour lists via an upper bound on similarities to all
-other nodes. Both repair the rows of nodes that pointed at a parent as one
-block, with a single membership check for the merged node instead of a
-full search whenever possible, and make the searches they still need,
-the merged node's included, in one call to :func:`topk_batch`. Each
-repair also computes the new queue entry of every row it changed, from
-the block, the merged node's ranked list and the search results it
-already holds, so the queue takes them without reading the graph again.
+one row of ``k`` slots per node id, plus the exact reverse-adjacency index
+and, per row, the floor its last exhaustive search left: the k-th
+similarity it found, or ``-inf`` when it listed every candidate. The
+candidate queue keeps one entry per node, the best arc of its row, and
+the contraction loop takes the argmax over those entries. After
+contracting an arc the graph is repaired in one of two ways.
 
-The incremental repair picks how it repairs its block from the block's row
+The exact repair, for ``dgaec`` and ``dgaec-inc``, searches the merged
+node. Every node that pointed at a parent drops those arcs and takes the
+merged node in its first freed slot when their similarity is strictly
+above the row's floor; it is searched again only when no arc is left.
+Every pair of alive nodes stays covered by the row of the node searched
+later, so the best arc over all rows is the best pair over all alive
+nodes, as the sparse greedy baseline finds it. The repair works on its
+in-neighbour block with a fixed handful of whole-block numpy calls, none
+when the merged node has no in-neighbours, and makes its searches in one
+call to :func:`topk_batch`; in most merges the merged node is the only
+search.
+
+The lazy repair, for ``dlaec`` and ``dapplaec``, makes no search: the
+merged node's neighbours are filtered from the union of its parents'
+neighbour lists via an upper bound on similarities to all other nodes,
+and a node that pointed at a parent takes the merged node when it beats
+the row's weakest surviving arc. A row left empty stays empty until the
+solver's next rebuild. Each repair also computes the new queue entry of
+every row it changed, from the block, the merged node's ranked list and
+the search results it already holds, so the queue takes them without
+reading the graph again.
+
+The lazy repair picks how it repairs its block from the block's row
 count. Up to ``_FEW_ROWS`` rows, the in-neighbour count of most merges on
 unclustered rows, a Python loop reads each row as lists and writes back
 only the cells it changed; numpy's fixed cost per call would outweigh its
@@ -504,8 +512,12 @@ class NNGraph:
     ``in_index`` maps a node to the set of nodes that point at it.
     ``full_list[u]`` records whether u's list was produced by an exhaustive
     search; the contraction bound falls back to a +inf sentinel for short
-    lists of other provenance. ``capacity`` rows are allocated up front,
-    one per node id the solve can create.
+    lists of other provenance. ``floor[u]`` is the k-th similarity of u's
+    last exhaustive search, ``-inf`` when that search listed every
+    candidate: every node it did not list ranks at or below it, and the
+    exact repair gives u a merged node only strictly above it. Lazy and
+    approximate rows never read it. ``capacity`` rows are allocated up
+    front, one per node id the solve can create.
     """
 
     def __init__(self, k: int, capacity: int) -> None:
@@ -515,6 +527,7 @@ class NNGraph:
         self.nbr = np.full((capacity, k), -1, dtype=np.int64)
         self.sim = np.full((capacity, k), -INF)
         self.full_list = np.zeros(capacity, dtype=bool)
+        self.floor = np.full(capacity, -INF)
         self.in_index: dict[int, set[int]] = {}
 
     @property
@@ -544,6 +557,8 @@ class NNGraph:
         """Replace the arcs of every node in ``rows`` wholesale.
 
         ``ids`` and ``sims`` are padded ``(len(rows), w)`` arrays, ``w <= k``.
+        Rows ``from_full`` an exhaustive search have ``w = k`` and take their
+        last column as their floor.
         """
         for u in rows[(self.nbr[rows] >= 0).any(axis=1)].tolist():
             self._clear_row(u)
@@ -551,6 +566,8 @@ class NNGraph:
         self.nbr[rows, :w] = ids
         self.sim[rows, :w] = sims
         self.full_list[rows] = from_full
+        if from_full:
+            self.floor[rows] = sims[:, -1]
         for u, row in zip(rows.tolist(), ids.tolist()):
             for t in row:
                 if t >= 0:
@@ -575,6 +592,7 @@ class NNGraph:
             assert len(arcs) <= self.k, "row longer than k"
             seen = set()
             for t, s in arcs:
+                assert not (self.full_list[u] and s < self.floor[u]), "arc below floor"
                 assert t != u, "self arc"
                 assert state.alive[t], f"arc to dead node {t}"
                 assert t not in seen, "duplicate arc"
@@ -707,11 +725,15 @@ def build_nn_graph(state: ContractionState, k: int) -> tuple[NNGraph, CandidateQ
 
 def contraction_bound(graph: NNGraph, i: int, j: int) -> float:
     """Upper bound on the similarity between the merge of (i, j) and any
-    node outside the union of their neighbour lists.
+    node outside the union of their neighbour lists, which filters the
+    merged node's list in the lazy repair.
 
     Uses the smallest cached similarity of each endpoint's list. Lists that
     are shorter than k and were not produced by exhaustive search cannot
-    certify the bound, so the +inf sentinel is returned.
+    certify the bound, so the +inf sentinel is returned. The bound holds
+    only while each list is its node's exact top k, which lazy rows do not
+    guarantee once a merge has passed them by; the exact repair relies on
+    row floors instead.
     """
     return _bound(graph.k, *((graph.arcs(u), graph.full_list[u]) for u in (i, j)))
 
@@ -744,20 +766,17 @@ def incremental_update(
     i: int,
     j: int,
     m: int,
-    *,
-    lazy: bool,
 ) -> tuple[ArcBatch, int]:
-    """Repair the NN graph after contracting (i, j) into ``m``.
+    """Repair the NN graph after contracting (i, j) into ``m``, lazily, for
+    ``dlaec`` and ``dapplaec``: no search.
 
-    The merged node's arcs come from its parents' combined neighbour lists
-    filtered by the contraction bound; an empty result triggers an
-    exhaustive search unless ``lazy``. Nodes that listed i or j keep their
-    surviving arcs and receive an arc to ``m`` when it provably belongs in
-    their list; otherwise they are re-searched (or, when ``lazy``, left
-    with whatever survived). The searches, m's included, are one batched
-    call. The batch carries every changed row's new queue entry, taken from
-    the repaired block, m's ranked list or the search results. Returns (the
-    batch, number of exhaustive searches performed).
+    The merged node's arcs are its parents' combined neighbour lists
+    filtered by the contraction bound, possibly none. Nodes that listed i
+    or j keep their surviving arcs and receive an arc to ``m`` when it
+    beats their weakest surviving one; a row left empty stays empty until
+    the solver's next rebuild. The batch carries every changed row's new
+    queue entry, taken from the repaired block or m's ranked list. Returns
+    (the batch, 0 searches), the shape :func:`exhaustive_update` returns.
 
     The in-neighbour rows are repaired by a Python loop over the rows when
     there are at most ``_FEW_ROWS`` of them, where numpy's fixed cost per
@@ -765,7 +784,7 @@ def incremental_update(
     (``tools/repair_bench.py``). Both take every sim(q, m) from one matrix
     product over the sorted rows: a separate dot per row can round
     differently, which would move similarity bits. The two paths leave the
-    same graph, batch and searches.
+    same graph and batch.
     """
     state.check_alive(m)
     k = graph.k
@@ -782,12 +801,10 @@ def incremental_update(
         sims = state.sims_to(m, cand).tolist()
         passing = [(t, s) for t, s in zip(cand, sims) if s >= bound]
         merged_arcs = sorted(passing, key=_rank_key)[:k]
-    search_m = not merged_arcs and not lazy
     # m is a fresh id, so its row is empty and not marked full
     graph.fill_row(m, merged_arcs)
     head_dst, head_sim = merged_arcs[0] if merged_arcs else (-1, -INF)
 
-    failed: list[int] | np.ndarray = []
     insertions = 0
     if not q_ids.size:
         best_dst = np.array([-1, -1, head_dst], dtype=np.int64)
@@ -798,26 +815,10 @@ def incremental_update(
             @ state.packed_q.take(state.slot.take(q_ids), axis=0).T
         )
         repair = _repair_rows if q_ids.size <= _FEW_ROWS else _repair_block
-        best_dst, best_sim, failed, insertions = repair(
-            graph, i, j, m, q_ids, sims_qm, (head_dst, head_sim), lazy
+        best_dst, best_sim, insertions = repair(
+            graph, i, j, m, q_ids, sims_qm, (head_dst, head_sim)
         )
-    batch = ArcBatch(rows, best_sim, best_dst, insertions)
-
-    searches = 0
-    if not lazy:
-        pending = q_ids[failed]
-        queries = np.concatenate(([m], pending)) if search_m else pending
-        if queries.size:
-            lists = topk_batch(state, queries, k)
-            searches = queries.size
-            graph.set_rows(queries, lists.ids, lists.sims, from_full=True)
-            firsts_dst, firsts_sim = lists.ids[:, 0], lists.sims[:, 0]
-            if search_m:
-                best_dst[2], best_sim[2] = firsts_dst[0], firsts_sim[0]
-            if pending.size:
-                best_dst[3:][failed] = firsts_dst[int(search_m) :]
-                best_sim[3:][failed] = firsts_sim[int(search_m) :]
-    return batch, searches
+    return ArcBatch(rows, best_sim, best_dst, insertions), 0
 
 
 def _repair_rows(
@@ -828,8 +829,7 @@ def _repair_rows(
     q_ids: np.ndarray,
     sims_qm: np.ndarray,
     head: tuple[int, float],
-    lazy: bool,
-) -> tuple[np.ndarray, np.ndarray, list[int], int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """The in-neighbour rows' repair of :func:`incremental_update`, one row
     at a time in Python, for a block of few rows.
 
@@ -841,13 +841,11 @@ def _repair_rows(
     order and the smallest id among the arcs equal to it, as
     :func:`_row_best` computes it. Returns the batch's ids and
     similarities, with ``head`` (m's entry) after the two empty parent
-    entries, the positions in ``q_ids`` of the rows to re-search (none when
-    ``lazy``) and the count of rows that took m.
+    entries, and the count of rows that took m.
     """
     k = graph.k
     nbr, sim = graph.nbr, graph.sim
     best_dst, best_sim = [-1, -1, head[0]], [-INF, -INF, head[1]]
-    failed: list[int] = []
     added: list[int] = []
     rows = zip(
         q_ids.tolist(),
@@ -855,7 +853,7 @@ def _repair_rows(
         nbr.take(q_ids, axis=0).tolist(),
         sim.take(q_ids, axis=0).tolist(),
     )
-    for pos, (q, s_m, ts, ss) in enumerate(rows):
+    for q, s_m, ts, ss in rows:
         # every row listed i or j; ``first`` is the column m may take
         at_i = ts.index(i) if i in ts else k
         at_j = ts.index(j) if j in ts else k
@@ -873,8 +871,6 @@ def _repair_rows(
             ts[first] = m
             ss[first] = s_m
             added.append(q)
-        elif not lazy:
-            failed.append(pos)
         nbr[q, first] = ts[first]
         sim[q, first] = ss[first]
         top = max(ss)
@@ -886,12 +882,7 @@ def _repair_rows(
             best_dst.append(min(t for t, s in zip(ts, ss) if s == top))
     if added:
         graph.in_index[m] = set(added)
-    return (
-        np.array(best_dst, dtype=np.int64),
-        np.array(best_sim),
-        failed,
-        len(added),
-    )
+    return np.array(best_dst, dtype=np.int64), np.array(best_sim), len(added)
 
 
 def _repair_block(
@@ -902,15 +893,14 @@ def _repair_block(
     q_ids: np.ndarray,
     sims_qm: np.ndarray,
     head: tuple[int, float],
-    lazy: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """:func:`_repair_rows` as one numpy block, for many rows.
 
     The rows are gathered, every arc to i or j dropped, and a row takes m
     in its first freed column where ``sims_qm`` is strictly above its
     weakest surviving arc; the block is written back whole and its queue
     entries come from :func:`_row_best`. Returns what :func:`_repair_rows`
-    returns, the rows to re-search as an index array.
+    returns.
     """
     k = graph.k
     nbr = graph.nbr.take(q_ids, axis=0)
@@ -930,11 +920,9 @@ def _repair_block(
     graph.nbr[q_ids] = nbr
     graph.sim[q_ids] = sim
     top_dst, top_sim = _row_best(sim, nbr)
-    failed = q_ids[:0] if lazy else (~passes).nonzero()[0]
     return (
         np.concatenate(([-1, -1, head[0]], top_dst)),
         np.concatenate(([-INF, -INF, head[1]], top_sim)),
-        failed,
         cells.size,
     )
 
@@ -946,30 +934,35 @@ def exhaustive_update(
     j: int,
     m: int,
 ) -> tuple[ArcBatch, int]:
-    """Post-contraction repair for the plain dense greedy solver.
+    """Exact repair after contracting (i, j) into ``m``, for ``dgaec`` and
+    ``dgaec-inc``.
 
-    Every row must hold the exact top k of the nodes it was ranked against,
-    as every row of ``dgaec`` does. The merged node is searched, and so is
-    every node that listed i or j, except where its row is certified
-    instead: it listed exactly one of them and ``sim(u, m)`` is strictly
-    above its weakest arc before the drop. Every node the row left out is
-    at most that arc, and one tied with it has a smaller id than m, so m
-    takes the freed slot and the row is again exact, with m in place of the
-    parent, at no search. A row shorter than k lists every node it was
-    ranked against; its ``-inf`` pad certifies it whenever it lost one arc.
+    Every alive row must come from an exhaustive search, possibly since
+    repaired here, with its floor (:class:`NNGraph`). The merged node is
+    searched. A node that listed i or j drops those arcs and takes m in its
+    first freed slot when ``sim(u, m)`` is strictly above its floor;
+    otherwise it keeps its surviving arcs. Only a row left with no arc is
+    searched again.
+
+    Every pair of alive nodes stays covered by the row of the one searched
+    later: that search ranked the other node, so it is either still listed
+    (an arc leaves a row only when its target dies) or ranks at or below the
+    row's floor, ties going to larger ids. Every arc of a row is at or
+    above its floor (m enters strictly above it and has the largest id, and
+    never evicts an arc), so a non-empty row's best arc is at least as good
+    as every pair it covers, and :func:`best_arc` picks the pair the sparse
+    greedy baseline picks.
 
     The in-neighbour rows are repaired as one block: gathered with
-    ``take``, the weakest arc from one ``min`` per row, the arcs to i and
-    j dropped and m inserted with masked writes, and the block written back
-    whole. The per-row count of lost arcs is taken only when some row
-    listed both parents. When m has no in-neighbours the block work is
-    skipped. m and the uncertified rows are searched in one call to
-    :func:`topk_batch`, m first; m's row is written by
-    :meth:`NNGraph.fill_row` and only the uncertified rows go through
-    :meth:`NNGraph.set_rows`. The batch carries every changed row's new
-    queue entry, taken from the repaired block or the search results.
-    Returns (the batch, number of exhaustive searches performed, m's
-    included).
+    ``take``, the arcs to i and j dropped with masked writes, m written
+    into each passing row's first freed cell, and the block written back
+    whole. When m has no in-neighbours the block work is skipped. m and the
+    rows left empty are searched in one call to :func:`topk_batch`, m
+    first; m's row is written by :meth:`NNGraph.fill_row` and the others
+    go through :meth:`NNGraph.set_rows`, which writes their floors. The
+    batch carries every changed row's new queue entry, taken from the
+    repaired block or the search results. Returns (the batch, number of
+    exhaustive searches performed, m's included).
     """
     state.check_alive(m)
     graph._clear_row(i)
@@ -977,6 +970,7 @@ def exhaustive_update(
     rows = _in_neighbours(graph, i, j, m)
     q_ids = rows[3:]
     r = q_ids.size
+    k = graph.k
     best_dst = np.empty(rows.size, dtype=np.int64)
     best_sim = np.empty(rows.size)
     queries = rows[2:3]
@@ -989,38 +983,34 @@ def exhaustive_update(
             state.packed[state.slot.item(m)]
             @ state.packed_q.take(state.slot.take(q_ids), axis=0).T
         )
-        # m beats the weakest arc before the drop, a short row's -inf pad
-        # included; every row lost an arc, so only one that lost two needs
-        # the per-row count
-        passes = sims_qm > sim.min(axis=1)
-        if np.count_nonzero(gone) > r:
-            passes &= np.count_nonzero(gone, axis=1) == 1
+        passes = sims_qm > graph.floor.take(q_ids)
         np.putmask(nbr, gone, -1)
         np.putmask(sim, gone, -INF)
-        won = gone & passes[:, None]
-        np.copyto(nbr, m, where=won)
-        np.copyto(sim, sims_qm[:, None], where=won)
+        # the flat position of each passing row's first freed cell
+        cells = (gone.argmax(axis=1) + np.arange(0, r * k, k))[passes]
+        nbr.put(cells, m)
+        sim.put(cells, sims_qm[passes])
         graph.nbr[q_ids] = nbr
         graph.sim[q_ids] = sim
-        certified = q_ids[passes].tolist()
-        insertions = len(certified)
-        if certified:
-            graph.in_index[m] = set(certified)
+        insertions = cells.size
+        if insertions:
+            graph.in_index[m] = set(q_ids[passes].tolist())
         best_dst[3:], best_sim[3:] = _row_best(sim, nbr)
-        if insertions < r:
-            failed = (~passes).nonzero()[0]
-            queries = np.concatenate((queries, q_ids[failed]))
+        empty = (best_sim[3:] == -INF).nonzero()[0]
+        if empty.size:
+            queries = np.concatenate((queries, q_ids[empty]))
 
-    lists = topk_batch(state, queries, graph.k)
+    lists = topk_batch(state, queries, k)
     # m is a fresh id, so its row is empty
     arcs_m = lists[0]
     graph.fill_row(m, arcs_m)
     graph.full_list[m] = True
+    graph.floor[m] = lists.sims[0, -1]
     head_dst, head_sim = arcs_m[0] if arcs_m else (-1, -INF)
     best_dst[:3] = -1, -1, head_dst
     best_sim[:3] = -INF, -INF, head_sim
-    if insertions < r:
+    if queries.size > 1:
         graph.set_rows(queries[1:], lists.ids[1:], lists.sims[1:], from_full=True)
-        best_dst[3:][failed] = lists.ids[1:, 0]
-        best_sim[3:][failed] = lists.sims[1:, 0]
+        best_dst[3:][empty] = lists.ids[1:, 0]
+        best_sim[3:][empty] = lists.sims[1:, 0]
     return ArcBatch(rows, best_sim, best_dst, insertions), queries.size

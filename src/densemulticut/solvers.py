@@ -2,11 +2,11 @@
 
 All solvers share the same loop: take the best arc of the NN graph,
 contract it, repair the graph, repeat while the best similarity is
-nonnegative. They differ in how the graph is repaired (exhaustive
-re-search, incremental update, or lazy survival) and in how the initial
-graph is built (exact or approximate). The sparse-graph baseline operates
-directly on an explicit cost adjacency and is the reference the dense
-greedy variants reproduce move for move.
+nonnegative. They differ in how the graph is repaired (the exact repair,
+with one or several neighbours per node, or lazy survival) and in how the
+initial graph is built (exact or approximate). The sparse-graph baseline
+operates directly on an explicit cost adjacency and is the reference the
+dense greedy variants reproduce move for move.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from .knn import (
 
 ALGORITHMS = ("gaec", "dgaec", "dgaec-inc", "dlaec", "dapplaec")
 
-#: Default neighbour counts: 1 for the plain dense greedy solver (a larger
-#: value buys nothing without incremental updates), 5 for the variants that
-#: reuse neighbour lists across contractions.
+#: Default neighbour counts: 1 for the plain dense greedy solver, 5 for the
+#: variants that reuse neighbour lists across contractions; under the exact
+#: repair a row of 5 arcs mostly shrinks instead of being searched again.
 DEFAULT_K = {"dgaec": 1, "dgaec-inc": 5, "dlaec": 5, "dapplaec": 5}
 
 
@@ -230,12 +230,10 @@ def _dense_solve(
             step_callback(state, i, j, sim)
         m = state.contract(i, j)
         trace.append(MergeStep(i, j, m, sim))
-        if mode == "exhaustive":
-            new_arcs, searches = exhaustive_update(graph, state, i, j, m)
+        if lazy:
+            new_arcs, searches = incremental_update(graph, state, i, j, m)
         else:
-            new_arcs, searches = incremental_update(
-                graph, state, i, j, m, lazy=lazy
-            )
+            new_arcs, searches = exhaustive_update(graph, state, i, j, m)
         stats["loop_searches"] += searches
         stats["n_exhaustive_searches"] += searches
         stats["in_arc_insertions"] += new_arcs.insertions
@@ -254,11 +252,10 @@ def dense_gaec(
 ) -> SolveResult:
     """Dense greedy contraction with an exact NN repair after each merge.
 
-    The merged node and every node that listed a parent are re-searched,
-    except nodes whose row provably takes the merged node in the freed
-    slot (see :func:`~densemulticut.knn.exhaustive_update`). Reproduces the
-    sparse greedy baseline on the materialised complete graph move for
-    move.
+    The merged node is searched, and so is every node that listed a
+    parent and has no arc left after the repair (see
+    :func:`~densemulticut.knn.exhaustive_update`). Reproduces the sparse
+    greedy baseline on the materialised complete graph move for move.
     """
     cfg = cfg or SolverConfig(algorithm="dgaec")
     return _dense_solve(fm, cfg, "exhaustive", step_callback=step_callback)
@@ -269,9 +266,16 @@ def dense_gaec_inc(
     cfg: SolverConfig | None = None,
     step_callback: StepCallback | None = None,
 ) -> SolveResult:
-    """Dense greedy contraction with incremental NN maintenance."""
+    """Dense greedy contraction that keeps k-NN lists across merges.
+
+    The exact repair of :func:`dense_gaec` at the default k of 5: a node
+    that listed a parent keeps its surviving arcs and takes the merged node
+    above its floor, so it is searched again only once its list runs dry.
+    A row loses its arcs one merge at a time, so this makes fewer searches
+    than :func:`dense_gaec` at k = 1 and reproduces the same moves.
+    """
     cfg = cfg or SolverConfig(algorithm="dgaec-inc")
-    return _dense_solve(fm, cfg, "incremental", step_callback=step_callback)
+    return _dense_solve(fm, cfg, "exhaustive", step_callback=step_callback)
 
 
 def dense_laec(

@@ -27,6 +27,18 @@ def state_from(rows, alpha=None, sign=AlphaSign.OFF):
     return ContractionState(fm)
 
 
+def spy_searches(monkeypatch):
+    """Record every query node the repairs pass to ``knn.topk_batch``."""
+    searched = []
+
+    def spy(state, queries, k):
+        searched.extend(np.asarray(queries).tolist())
+        return topk_batch(state, queries, k)
+
+    monkeypatch.setattr(knn, "topk_batch", spy)
+    return searched
+
+
 def brute_topk(state, q, k):
     """Slow reference ranking over alive nodes, same tie rule."""
     items = []
@@ -240,7 +252,7 @@ class TestBestArc:
         assert got is not None
         i, j, _ = got
         m = state.contract(i, j)
-        new_arcs, _ = incremental_update(graph, state, i, j, m, lazy=False)
+        new_arcs, _ = exhaustive_update(graph, state, i, j, m)
         queue.push_many(graph, new_arcs)
         nxt = best_arc(graph, queue, state)
         if nxt is not None:
@@ -250,46 +262,30 @@ class TestBestArc:
 
 
 class TestIncrementalUpdate:
+    """The lazy repair of ``dlaec`` and ``dapplaec``: no search."""
+
     def test_merged_node_arc_via_bound_no_search(self):
         # merging the orthogonal pair; their shared neighbour passes the
-        # bound check so the merged node needs no exhaustive search (the
-        # fourth node keeps everyone else's lists intact)
+        # bound check, so the merged node gets its arc from its parents'
+        # lists (the fourth node keeps everyone else's lists intact)
         state = state_from([[1, 0], [0, 1], [0.8, 0.6], [0.75, 0.55]])
         graph, queue = build_nn_graph(state, 1)
         assert graph.targets(0) == [2]
         assert graph.targets(1) == [2]
         assert contraction_bound(graph, 0, 1) == pytest.approx(1.4, abs=1e-7)
         m = state.contract(0, 1)
-        _, searches = incremental_update(graph, state, 0, 1, m, lazy=False)
+        _, searches = incremental_update(graph, state, 0, 1, m)
         assert searches == 0
         assert graph.targets(m) == [2]
         assert graph.arcs(m)[0][1] == pytest.approx(1.4, abs=1e-7)
 
-    def test_pointing_node_gets_cheap_arc(self):
-        # q points at i and r; the merged node is at least as similar as r,
-        # so the arc (q, m) is added without any exhaustive search
-        state = state_from(
-            [
-                [1.0, 0.0],  # q -> {i, r}
-                [0.9, 0.1],  # i
-                [0.5, 0.0],  # r
-                [0.2, 0.9],  # j
-            ]
-        )
-        graph, _ = build_nn_graph(state, 2)
-        assert set(graph.targets(0)) == {1, 2}
-        m = state.contract(1, 3)
-        _, searches = incremental_update(graph, state, 1, 3, m, lazy=False)
-        assert m in graph.targets(0)
-        assert searches == 0
-
     def test_lazy_leaves_merged_node_isolated(self):
         # antipodal parents: nothing passes the bound, lazy mode leaves the
-        # merged node без outgoing arcs
+        # merged node without outgoing arcs
         state = state_from([[1, 0], [-1, 0.05], [0.9, 0.3], [-0.9, -0.2]])
         graph, _ = build_nn_graph(state, 1)
         m = state.contract(0, 1)
-        new_arcs, searches = incremental_update(graph, state, 0, 1, m, lazy=True)
+        new_arcs, searches = incremental_update(graph, state, 0, 1, m)
         assert searches == 0
         assert graph.targets(m) == []
 
@@ -298,37 +294,22 @@ class TestIncrementalUpdate:
         graph, _ = build_nn_graph(state, 2)
         assert set(graph.targets(3)) <= {0, 1, 2}
         m = state.contract(1, 2)
-        incremental_update(graph, state, 1, 2, m, lazy=True)
+        incremental_update(graph, state, 1, 2, m)
         for t in graph.targets(3):
             assert state.alive[t]
 
-    def test_nonlazy_researches_when_check_fails(self):
-        # q pointed only at i; merged node drifts away from q so the check
-        # fails and q must be re-searched exhaustively
-        state = state_from(
-            [
-                [1.0, 0.0],    # q
-                [0.8, 0.6],    # i
-                [-0.5, 0.86],  # j pulls m away from q
-                [0.7, 0.7],
-            ]
-        )
-        graph, _ = build_nn_graph(state, 1)
-        assert graph.targets(0) == [1]
-        m = state.contract(1, 2)
-        new_arcs, searches = incremental_update(graph, state, 1, 2, m, lazy=False)
-        assert searches >= 1
-        assert graph.targets(0) != []
-        graph.validate(state)
-
     def test_state_error_for_unregistered_merge(self):
-        state = state_from([[1, 0], [0, 1], [1, 1]])
-        graph, _ = build_nn_graph(state, 1)
-        with pytest.raises(StateError):
-            incremental_update(graph, state, 0, 1, 99, lazy=False)
+        for update in (incremental_update, exhaustive_update):
+            state = state_from([[1, 0], [0, 1], [1, 1]])
+            graph, _ = build_nn_graph(state, 1)
+            with pytest.raises(StateError):
+                update(graph, state, 0, 1, 99)
 
+    # ``lazy`` picks the repair as the solvers do: the lazy one, or else
+    # the exact one
     @pytest.mark.parametrize("lazy", [False, True])
     def test_invariants_along_random_merge_sequences(self, lazy, rng):
+        update = incremental_update if lazy else exhaustive_update
         for trial in range(8):
             fm = make_instance(40, 5, seed=400 + trial, alpha=0.4, sign=AlphaSign.MINUS)
             state = ContractionState(fm)
@@ -337,7 +318,7 @@ class TestIncrementalUpdate:
                 ids = state.alive_ids()
                 i, j = (int(x) for x in rng.choice(ids, size=2, replace=False))
                 m = state.contract(i, j)
-                new_arcs, _ = incremental_update(graph, state, i, j, m, lazy=lazy)
+                new_arcs, _ = update(graph, state, i, j, m)
                 queue.push_many(graph, new_arcs)
                 graph.validate(state)
 
@@ -381,13 +362,7 @@ class TestExhaustiveUpdate:
         )
         graph, _ = build_nn_graph(state, 1)
         assert graph.targets(0) == [1] and graph.targets(3) == [2]
-        searched = []
-
-        def spy(state, queries, k):
-            searched.extend(np.asarray(queries).tolist())
-            return topk_batch(state, queries, k)
-
-        monkeypatch.setattr(knn, "topk_batch", spy)
+        searched = spy_searches(monkeypatch)
         m = state.contract(1, 2)
         new_arcs, searches = exhaustive_update(graph, state, 1, 2, m)
         assert sorted(searched) == [3, m]
@@ -401,18 +376,97 @@ class TestExhaustiveUpdate:
     @pytest.mark.parametrize(
         "rows, k",
         [
-            # u lists i; sim(u, m) only ties u's weakest arc, and node 3,
-            # unlisted at that similarity, has a smaller id than m
+            # u lists i; sim(u, m) only ties u's floor, and node 3, unlisted
+            # at that similarity, has a smaller id than m: the row is left
+            # empty and searched
             ([[1, 0], [1, 1], [0, 1], [1, 2]], 1),
-            # u lists both i and j, so the second freed slot needs a search
+            # u lists both i and j and sim(u, m) is above its floor: m takes
+            # one freed slot, the other stays empty, and u is not searched
             ([[1, 0], [1, 0.5], [1, -0.5], [0.5, 0]], 2),
         ],
     )
-    def test_uncertified_row_is_researched(self, rows, k):
+    def test_uncertified_row_is_researched(self, rows, k, monkeypatch):
         state = state_from(rows)
         graph, _ = build_nn_graph(state, k)
         assert 1 in graph.targets(0)
+        searched = spy_searches(monkeypatch)
         m = state.contract(1, 2)
         exhaustive_update(graph, state, 1, 2, m)
-        assert graph.arcs(0) == pytest.approx(topk_exact(state, 0, k), rel=1e-12)
+        exact = topk_exact(state, 0, k)
+        if k == 1:
+            assert 0 in searched
+            assert graph.arcs(0) == pytest.approx(exact, rel=1e-12)
+        else:
+            assert 0 not in searched
+            assert graph.targets(0) == [m]
+            assert graph.arcs(0) == pytest.approx(exact[:1], rel=1e-12)
+            listed = set(graph.targets(0))
+            for v in state.alive_ids().tolist():
+                if v != 0 and v not in listed:
+                    assert state.sim(0, v) <= graph.floor[0]
         graph.validate(state)
+
+    def test_pointing_node_gets_cheap_arc(self, monkeypatch):
+        # q points at i and r; the merged node is more similar to q than r,
+        # q's floor, so the arc (q, m) is added without searching q
+        state = state_from(
+            [
+                [1.0, 0.0],  # q -> {i, r}
+                [0.9, 0.1],  # i
+                [0.5, 0.0],  # r
+                [0.2, 0.9],  # j
+            ]
+        )
+        graph, _ = build_nn_graph(state, 2)
+        assert set(graph.targets(0)) == {1, 2}
+        searched = spy_searches(monkeypatch)
+        m = state.contract(1, 3)
+        _, searches = exhaustive_update(graph, state, 1, 3, m)
+        assert m in graph.targets(0)
+        assert searched == [m] and searches == 1
+        graph.validate(state)
+
+    # u lists i and j at sim -0.2 each and t at -0.3; the merged node
+    # (-0.4, 0) is at -0.4, below both floors k = 2 and k = 3 give u
+    PARENTS_BELOW_FLOOR = [[1, 0], [-0.2, 1], [-0.2, -1], [-0.3, 0.1], [-1, 0]]
+
+    def test_row_that_lost_both_parents_keeps_its_third_arc(self, monkeypatch):
+        state = state_from(self.PARENTS_BELOW_FLOOR)
+        graph, _ = build_nn_graph(state, 3)
+        assert graph.targets(0) == [1, 2, 3]
+        searched = spy_searches(monkeypatch)
+        m = state.contract(1, 2)
+        _, searches = exhaustive_update(graph, state, 1, 2, m)
+        assert state.sim(0, m) <= graph.floor[0]
+        assert searched == [m] and searches == 1
+        assert graph.targets(0) == [3]
+        graph.validate(state)
+
+    def test_row_left_without_arcs_is_researched(self, monkeypatch):
+        state = state_from(self.PARENTS_BELOW_FLOOR)
+        graph, _ = build_nn_graph(state, 2)
+        assert graph.targets(0) == [1, 2]
+        searched = spy_searches(monkeypatch)
+        m = state.contract(1, 2)
+        _, searches = exhaustive_update(graph, state, 1, 2, m)
+        assert sorted(searched) == [0, m] and searches == 2
+        assert graph.arcs(0) == pytest.approx(topk_exact(state, 0, 2), rel=1e-12)
+        graph.validate(state)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_searches_write_the_floor(self, k):
+        # build_nn_graph writes every row's k-th similarity; after the
+        # merge, m's search and u's new search write theirs (k = 2 leaves
+        # u empty); at k = 3 the three-node build lists every candidate
+        state = state_from(self.PARENTS_BELOW_FLOOR)
+        graph, _ = build_nn_graph(state, k)
+        np.testing.assert_array_equal(graph.floor[:5], graph.sim[:5, k - 1])
+        m = state.contract(1, 2)
+        exhaustive_update(graph, state, 1, 2, m)
+        for u in (m, 0) if k == 2 else (m,):
+            exact = topk_exact(state, u, k)
+            assert graph.floor[u] == pytest.approx(exact[k - 1][1], rel=1e-12)
+        small = state_from([[1, 0], [0, 1], [1, 1]])
+        graph, _ = build_nn_graph(small, 3)
+        assert (graph.floor[:3] == -INF).all()
+        graph.validate(small)

@@ -1,7 +1,7 @@
 """Array-backed NN graph, per-node candidate queue, block top-k, the
 selection helper, the queue entries the graph updates compute, the two
-in-neighbour block paths of the incremental update and the tie contract
-under exact similarity ties."""
+in-neighbour block paths of the lazy update and the tie contract under
+exact similarity ties."""
 
 from unittest import mock
 
@@ -318,6 +318,18 @@ def brute_best_arc(graph, state):
     return -lo, -hi, s
 
 
+def brute_best_pair(state):
+    """The pair the sparse greedy baseline contracts next: the largest
+    similarity over all alive pairs, ties toward the smallest (min id,
+    max id) pair; ``None`` below zero."""
+    ids = state.alive_ids().tolist()
+    pairs = [(state.sim(a, b), -a, -b) for n, a in enumerate(ids) for b in ids[n + 1 :]]
+    if not pairs or max(pairs)[0] < 0.0:
+        return None
+    s, lo, hi = max(pairs)
+    return -lo, -hi, s
+
+
 def brute_entries(graph, ids):
     """Each row's best arc by a scan of its arcs, ties toward the smaller
     target; ``(-inf, -1)`` for an empty row."""
@@ -330,15 +342,19 @@ def brute_entries(graph, ids):
 
 
 # ``knn._FEW_ROWS`` values that force every in-neighbour block of the
-# incremental update through its numpy path or through its Python path
+# lazy update through its numpy path or through its Python path
 FORCED_PATHS = {"numpy": 0, "python": 1 << 30}
 
 
 class TestUpdateEntries:
     # the repairs compute the queue entries of the rows they change from
-    # their own blocks; after every merge of a random sequence they must
-    # equal entries recomputed from the repaired graph, whichever path
-    # repairs the incremental update's in-neighbour blocks
+    # their own blocks; after every merge they must equal entries
+    # recomputed from the repaired graph, whichever path repairs the lazy
+    # update's in-neighbour blocks. "lazy" and "exhaustive" merge random
+    # pairs; "incremental" makes the exact repair's merges greedy, as the
+    # solvers do, and random only when no arc is left. After the exact
+    # repair, every pair of alive nodes stays covered, so on integer rows,
+    # whose similarities are exact, the best arc is the best alive pair
     @pytest.mark.parametrize("update", ["incremental", "lazy", "exhaustive"])
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @settings(max_examples=25, deadline=None)
@@ -365,9 +381,13 @@ class TestUpdateEntries:
         )
         graph, queue = build_nn_graph(state, k)
         while state.n_alive > 1:
-            i, j = (int(x) for x in rng.choice(state.alive_ids(), size=2, replace=False))
+            arc = best_arc(graph, queue, state) if update == "incremental" else None
+            if arc is None:
+                i, j = (int(x) for x in rng.choice(state.alive_ids(), size=2, replace=False))
+            else:
+                i, j, _ = arc
             m = state.contract(i, j)
-            if update == "exhaustive":
+            if update != "lazy":
                 # every search, m's included, goes through topk_batch, which
                 # the solvers' and the benchmark tracer's search counts read
                 with mock.patch.object(knn, "topk_batch", wraps=topk_batch) as spy:
@@ -378,7 +398,7 @@ class TestUpdateEntries:
                 assert graph.full_list[m]
                 graph.validate(state)
             else:
-                batch, _ = incremental_update(graph, state, i, j, m, lazy=update == "lazy")
+                batch, _ = incremental_update(graph, state, i, j, m)
             queue.push_many(graph, batch)
             ids = np.arange(state.n0 + state.forest.n_merges)
             fresh = CandidateQueue(graph.capacity)
@@ -389,6 +409,8 @@ class TestUpdateEntries:
             np.testing.assert_array_equal(fresh.best_sim[ids], want_sim)
             np.testing.assert_array_equal(fresh.best_dst[ids], want_dst)
             assert best_arc(graph, queue, state) == brute_best_arc(graph, state)
+            if update != "lazy" and values == "integer":
+                assert brute_best_arc(graph, state) == brute_best_pair(state)
 
 
 def bits(a):
@@ -399,14 +421,13 @@ class TestRepairPaths:
     # incremental_update repairs a block of at most _FEW_ROWS in-neighbour
     # rows one row at a time in Python and a larger one with numpy. Two
     # copies of one instance take the same merges, one with every block
-    # forced through each path; after every merge their graphs, batches and
-    # searches must be identical, similarity bits included. Clustered rows
+    # forced through each path; after every merge their graphs and batches
+    # must be identical, similarity bits included. Clustered rows
     # make hubs of the merged nodes, so blocks fall on both sides of the
     # rule (from 0 to over 40 rows at every k). Integer rows make
     # similarities tie; continuous ones make a similarity's bits depend on
     # the product that computed it. The merges are the queue's best arc, or
     # a random pair one time in five and when no arc is left
-    @pytest.mark.parametrize("lazy", [True, False])
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(60, 150),
@@ -417,7 +438,7 @@ class TestRepairPaths:
         sign=st.sampled_from([AlphaSign.PLUS, AlphaSign.MINUS, AlphaSign.OFF]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_paths_leave_identical_graphs(self, lazy, n, d, clusters, k, values, sign, seed):
+    def test_paths_leave_identical_graphs(self, n, d, clusters, k, values, sign, seed):
         rng = np.random.default_rng(seed)
         centers = rng.integers(-3, 4, size=(clusters, d))[rng.integers(0, clusters, size=n)]
         if values == "integer":
@@ -441,11 +462,10 @@ class TestRepairPaths:
             for few_rows, state, graph, queue in runs:
                 m = state.contract(i, j)
                 with mock.patch.object(knn, "_FEW_ROWS", few_rows):
-                    batch, searches = incremental_update(graph, state, i, j, m, lazy=lazy)
+                    batch, _ = incremental_update(graph, state, i, j, m)
                 queue.push_many(graph, batch)
-                out.append((batch, searches, graph))
-            (a, searches_a, ga), (b, searches_b, gb) = out
-            assert searches_a == searches_b
+                out.append((batch, graph))
+            (a, ga), (b, gb) = out
             assert a.insertions == b.insertions
             np.testing.assert_array_equal(a.rows, b.rows)
             np.testing.assert_array_equal(a.best_dst, b.best_dst)
@@ -469,24 +489,19 @@ class TestTieContract:
             )
         ),
         sign=st.sampled_from([AlphaSign.PLUS, AlphaSign.MINUS, AlphaSign.OFF]),
-        k=st.sampled_from([1, 2, 3]),
+        k=st.sampled_from([1, 2, 3, 5]),
     )
     def test_dense_greedy_reproduces_gaec_under_ties(self, rows, sign, k):
-        # dgaec-inc only at its default k: at k = 2 to 4 a node whose list
-        # named neither parent is never told of the merged node, even when
-        # the merged node beats its weakest arc; that stale list still
-        # counts as exact, so a later contraction bound over it is too low
         fm = FeatureMatrix(np.array(rows, dtype=np.float32))
         trace = {}
-        for algo, algo_k in (("gaec", None), ("dgaec", k), ("dgaec-inc", None)):
+        for algo, algo_k in (("gaec", None), ("dgaec", k), ("dgaec-inc", k)):
             cfg = SolverConfig(algorithm=algo, k=algo_k, alpha=0.5, alpha_sign=sign)
             trace[algo] = [(s.i, s.j, s.m, s.similarity) for s in solve(fm, cfg).trace]
         assert trace["dgaec"] == trace["gaec"]
         assert trace["dgaec-inc"] == trace["gaec"]
 
-    # the known runs where that stale list changes dgaec-inc's trace; they
-    # pass once the contraction bound accounts for lists that predate m
-    @pytest.mark.xfail(strict=True, reason="dgaec-inc trusts stale lists in its bound")
+    # the runs where dgaec-inc's trace differed from gaec while its repair
+    # trusted the contraction bound over lists that predated the merged node
     @pytest.mark.parametrize(
         "seed, k, r",
         [(3378, 4, 2), (4638, 2, 2), (4638, 3, 2), (6316, 2, 2), (4779, 2, 3), (5138, 2, 3)],

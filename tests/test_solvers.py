@@ -141,15 +141,13 @@ class TestDenseGaecInc:
         dense_gaec_inc(fm, cfg_for("dgaec-inc", AlphaSign.MINUS), step_callback=check)
 
     def test_never_more_searches_than_plain_dense(self):
-        # plain dense repair gives certified rows the merged node without a
-        # search, so its rows repaired are its searches plus those insertions
+        # both run the exact repair; k = 5 rows shrink where k = 1 rows run
+        # dry and are searched again
         for trial in range(6):
             fm, sign = clustered_instance(trial, n_range=(30, 120))
             a = dense_gaec(fm, cfg_for("dgaec", sign))
             b = dense_gaec_inc(fm, cfg_for("dgaec-inc", sign))
-            repaired = a.stats["loop_searches"] + a.stats["in_arc_insertions"]
-            assert b.stats["loop_searches"] <= repaired
-            assert a.stats["loop_searches"] < repaired
+            assert b.stats["loop_searches"] <= a.stats["loop_searches"]
 
 
 class TestDenseLaec:

@@ -1,5 +1,6 @@
-"""Time the two in-neighbour block paths of ``knn.incremental_update`` on
-the lazy benchmark instances, the evidence for its size rule ``_FEW_ROWS``.
+"""Time the two in-neighbour block paths of ``knn.incremental_update``, the
+lazy repair, on the lazy benchmark instances, the evidence for its size
+rule ``_FEW_ROWS``.
 
 Usage, from the repository root::
 
@@ -12,9 +13,9 @@ solvers (``dlaec`` and ``dapplaec``) under the benchmark's settings.
 
 - Two solves per solver force every in-neighbour block through one path:
   the numpy path (``_FEW_ROWS`` set to 0) and the Python path
-  (``_FEW_ROWS`` above any block). Every call's batch, searches and
-  changed rows, the merge trace and the graph each solve leaves are
-  digested; the exit code is 1 when the two paths differ anywhere, else 0.
+  (``_FEW_ROWS`` above any block). Every call's batch and changed rows,
+  the merge trace and the graph each solve leaves are digested; the exit
+  code is 1 when the two paths differ anywhere, else 0.
 - ``--repeats`` further solves per solver time the paths. The path
   alternates from call to call, so a drift in the machine's speed falls on
   both alike; the paths leave the same graph, so the solve does not change.
@@ -79,9 +80,9 @@ def forced_digest(fm, cfg, path: str) -> tuple[str, list[int]]:
     counts: list[int] = []
     graphs = []
 
-    def digesting(graph, state, i, j, m, *, lazy):
+    def digesting(graph, state, i, j, m):
         counts.append(in_neighbours(graph, i, j))
-        batch, searches = update(graph, state, i, j, m, lazy=lazy)
+        batch, searches = update(graph, state, i, j, m)
         rows = batch.rows
         for arr in (rows, batch.best_sim, batch.best_dst, graph.nbr[rows], graph.sim[rows]):
             h.update(arr.tobytes())
@@ -118,13 +119,13 @@ def alternating_times(fm, cfg, first: int, times: dict[str, dict[str, list[int]]
     paths = list(FORCE)
     calls = [first]
 
-    def timed(graph, state, i, j, m, *, lazy):
+    def timed(graph, state, i, j, m):
         path = paths[calls[0] % 2]
         calls[0] += 1
         count = in_neighbours(graph, i, j)
         knn._FEW_ROWS = FORCE[path]
         t0 = time.thread_time_ns()
-        out = update(graph, state, i, j, m, lazy=lazy)
+        out = update(graph, state, i, j, m)
         times[path][bucket(count)].append(time.thread_time_ns() - t0)
         return out
 

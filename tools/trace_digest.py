@@ -6,6 +6,7 @@ Usage, from the repository root::
     python3 tools/trace_digest.py --seeds 1 2 3 --save ref.json
     python3 tools/trace_digest.py --seeds 1 2 3 --against ref.json
     python3 tools/trace_digest.py --suite --against suite.json
+    python3 tools/trace_digest.py --ties 0 3000
 
 The default mode solves the three benchmark instances (the workloads of
 ``solverbench/bench.py``, built from each seed) with the four dense solvers
@@ -14,8 +15,16 @@ under the benchmark's solver settings. ``--suite`` instead solves the 100
 ``dgaec-inc``, ``dlaec`` and ``dapplaec``, the last once seeded from an
 ``ExactIndex`` and once from the default index, and with ``dgaec`` at
 k = 3 as well: at its default k = 1 a row's only arc is always the one a
-merge drops, so the repair's test for a row that lost exactly one of
-several arcs never varies.
+merge drops, so a row is either given the merged node or searched, while
+at k = 3 rows that lose two arcs, or one arc to a merged node below
+their floor, keep what survives.
+
+``--ties START STOP`` checks exactness under similarity ties instead: for
+every seed in ``range(START, STOP)`` it draws small integer features
+(:func:`tie_instance`), solves them with ``gaec`` and with ``dgaec`` and
+``dgaec-inc`` at k = 1 to 5, and prints the number of runs and every
+(seed, solver, k) whose merge trace differs from ``gaec``'s. The exit code
+is 1 when any differs.
 
 Each solve prints one line with short digests of its merge pairs
 ``(i, j, m)``, its labels, its objective's bits and its similarities' bits.
@@ -110,6 +119,44 @@ def suite_solves():
             )
 
 
+def tie_instance(seed: int):
+    """Integer features in ``[-r, r]``, ``r`` 2 or 3 by the seed's parity,
+    for 2 to 40 nodes in 1 to 3 dimensions, and an affinity sign by the
+    seed; every similarity is exact, so ties are common."""
+    import numpy as np
+    from densemulticut.core import AlphaSign, FeatureMatrix
+
+    rng = np.random.default_rng(seed)
+    n, d = rng.integers(2, 41), rng.integers(1, 4)
+    r = 2 + seed % 2
+    fm = FeatureMatrix(rng.integers(-r, r + 1, (n, d)).astype(np.float32))
+    return fm, list(AlphaSign)[seed % 3]
+
+
+def tie_sweep(start: int, stop: int) -> int:
+    """Compare ``dgaec`` and ``dgaec-inc`` at k = 1 to 5 with ``gaec`` on
+    the tie instances of ``range(start, stop)``; returns the exit code."""
+    from densemulticut.solvers import SolverConfig, solve
+
+    def trace(fm, sign, alg, k=None):
+        cfg = SolverConfig(algorithm=alg, k=k, alpha=0.5, alpha_sign=sign)
+        return [(s.i, s.j, s.m, s.similarity) for s in solve(fm, cfg).trace]
+
+    runs = 0
+    differ = []
+    for seed in range(start, stop):
+        fm, sign = tie_instance(seed)
+        want = trace(fm, sign, "gaec")
+        for alg in ("dgaec", "dgaec-inc"):
+            for k in range(1, 6):
+                runs += 1
+                if trace(fm, sign, alg, k) != want:
+                    differ.append((seed, alg, k))
+                    print(f"seed {seed} {alg} k {k}: trace differs from gaec", flush=True)
+    print(f"{runs} runs over seeds {start} to {stop - 1}: {len(differ)} differ from gaec")
+    return 1 if differ else 0
+
+
 def compare(got: dict, ref: dict) -> tuple[bool, str]:
     """Whether pairs, labels and objective equal the reference, and a note
     on the similarity bits."""
@@ -143,6 +190,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     p.add_argument("--suite", action="store_true",
                    help="solve the test suite's clustered instances with dgaec "
                    "(k 1 and 3), dgaec-inc, dlaec and dapplaec")
+    p.add_argument("--ties", type=int, nargs=2, metavar=("START", "STOP"),
+                   help="compare dgaec and dgaec-inc at k 1 to 5 with gaec on "
+                   "the tied integer instances of these seeds")
     p.add_argument("--save", type=Path, help="write the full records to this JSON file")
     p.add_argument("--against", type=Path, help="compare with records saved by --save")
     return p.parse_args(argv)
@@ -153,6 +203,8 @@ def main(argv: list[str]) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = BLAS_THREADS
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    if args.ties:
+        return tie_sweep(*args.ties)
     reference = json.loads(args.against.read_text()) if args.against else {}
     solves = suite_solves() if args.suite else bench_solves(args.seeds)
     records = {}
