@@ -9,6 +9,13 @@ neighbours; there are no neighbour-descent rounds. Stored similarities are
 always true inner products; the approximation is only in candidate
 coverage.
 
+The build's memory is the O(n·k) lists plus one block at a time: the
+n_anchor × n_anchor similarities of the anchors (n_anchor ≈ 4√n), then one
+``_BLOCK`` × n_anchor product per ``_BLOCK`` query rows while nodes are
+assigned to anchors, then one group's product with its candidates. The
+anchor groups come from one stable sort of the assignment and each group's
+probed anchors from :func:`~densemulticut.knn.select_rows`.
+
 Construction is deterministic for a fixed seed.
 """
 
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .knn import NeighbourLists, block_topk, select_rows
+from .knn import _BLOCK, NeighbourLists, block_topk, select_rows
 
 
 @dataclass(frozen=True)
@@ -124,20 +131,37 @@ class ProximityGraphIndex(AnnIndex):
         ``min(k, m_links)`` candidates. Returns the ``(n, k)`` neighbour ids
         (``-1`` pad) and their exact similarities (``-inf`` pad), both in
         descending similarity per node, ties toward the smaller id.
+
+        Memory is the O(n·k) output plus, at any time, one of: the
+        n_anchor × n_anchor anchor similarities with their ranking; one
+        ``_BLOCK`` × n_anchor assignment block (nodes take their argmax
+        anchor block by block); one group's product with its candidates.
+        The groups are the runs of one stable sort of the assignment, so
+        each lists its nodes in id order, and a group's probed anchors are
+        the top ``probes`` of its anchor's row by
+        :func:`~densemulticut.knn.select_rows` (descending similarity, ties
+        toward the smaller id). The probed groups are disjoint, so their
+        sorted concatenation is the candidate union.
         """
         n = self.n
         p = self.params
         n_anchor = min(n, max(8, int(4.0 * np.sqrt(n))))
         anchors = np.sort(rng.choice(n, size=n_anchor, replace=False))
-        assign_sims = self.qr @ self.db[anchors].T
-        own = np.argmax(assign_sims, axis=1)
-        members: list[np.ndarray] = [
-            np.flatnonzero(own == c) for c in range(n_anchor)
-        ]
-        anchor_sims = self.db[anchors] @ self.db[anchors].T
+        anchor_rows = self.db[anchors]
         avg_group = max(1.0, n / n_anchor)
         probes = int(np.clip(round(p.ef_construction / avg_group), 2, n_anchor))
-        near_anchors = np.argsort(-anchor_sims, axis=1, kind="stable")[:, :probes]
+        # a distinct right operand keeps numpy off its symmetric (syrk)
+        # product, which rounds differently from the general one; the anchor
+        # block is ranked and freed before the assignment, so the two blocks
+        # are never held at once
+        anchor_sims = anchor_rows @ anchor_rows.copy().T
+        near_anchors = select_rows(anchor_sims, np.arange(n_anchor), probes)[0]
+        del anchor_sims
+        own = np.empty(n, dtype=np.int64)
+        for lo in range(0, n, _BLOCK):
+            own[lo : lo + _BLOCK] = np.argmax(self.qr[lo : lo + _BLOCK] @ anchor_rows.T, axis=1)
+        bounds = np.cumsum(np.bincount(own, minlength=n_anchor))[:-1]
+        members = np.split(np.argsort(own, kind="stable"), bounds)
 
         keep = min(k, p.m_links)
         nbrs = np.full((n, k), -1, dtype=np.int64)
@@ -146,7 +170,7 @@ class ProximityGraphIndex(AnnIndex):
             group = members[c]
             if group.size == 0:
                 continue
-            cand = np.unique(np.concatenate([members[a] for a in near_anchors[c]]))
+            cand = np.sort(np.concatenate([members[a] for a in near_anchors[c]]))
             block = self.qr[group] @ self.db[cand].T
             block[cand[None, :] == group[:, None]] = -np.inf
             nbrs[group, :keep], sims[group, :keep] = select_rows(block, cand, keep)

@@ -6,6 +6,7 @@ Usage, from the repository root::
 
     python3 tools/cut_bench.py
     python3 tools/cut_bench.py --build
+    python3 tools/cut_bench.py --ann
 
 For every block of r rows and c columns, r in {1, 2, 3, 4, 8, 512} and c in
 {40, 400, 1000, 8000}, every k in {2, 5}, and two kinds of values, it
@@ -35,6 +36,17 @@ row's scale ``‖q‖·max‖d‖``, the bound on any of its similarities: a
 similarity near zero from cancelling terms carries float64 rounding of
 that scale, not of itself.
 
+``--ann`` instead measures the default ANN index's build, the initial graph
+of ``dapplaec``. For each benchmark instance (seed 7, the benchmark's
+affinity, the index over the state's packed rows as the solver builds it)
+and for ``synth_rows(n, 32, 20, 0.1, seed=1)`` of ``tests/test_ann.py`` at n
+in {20000, 50000, 100000}, it prints the median of three timed calls of
+``ann_default_build`` plus ``self_knn(5)``, the ``tracemalloc`` peak of one
+more such call, and its bound n·k·16 + ``_BLOCK``·n_anchor·8 +
+2·n_anchor²·8 bytes: the (n, k) ids and similarities, one assignment block
+and the anchor similarities with one block of their ranking. The exit code
+is 1 when any peak exceeds its bound, else 0.
+
 BLAS runs on the benchmark's thread count, as in ``tools/trace_digest.py``.
 """
 
@@ -57,6 +69,8 @@ REPEATS = 5
 BUILD_SEED = 7
 BUILD_KS = (1, 5)
 BUILD_REPEATS = 3
+ANN_K = 5
+ANN_SIZES = (20000, 50000, 100000)
 
 
 def per_call_us(cut, sims, ids, k) -> float:
@@ -147,16 +161,71 @@ def build_main() -> int:
     return 1 if failures else 0
 
 
+def ann_rows():
+    """(label, database rows, query rows) for every benchmark instance at
+    ``BUILD_SEED`` and for the synthetic rows of ``ANN_SIZES``."""
+    from densemulticut.core import ContractionState
+    from solverbench import bench
+
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_ann import synth_rows
+
+    for workload in bench.WORKLOADS.values():
+        fm = workload.regime.instance(BUILD_SEED).with_affinity(bench.ALPHA, bench.SIGN)
+        state = ContractionState(fm)
+        yield f"{workload.name} n {fm.n}", state.packed, state.packed_q
+    for n in ANN_SIZES:
+        rows = synth_rows(n, 32, 20, 0.1, seed=1)
+        yield f"synth_rows n {n}", rows, None
+
+
+def ann_main() -> int:
+    import tracemalloc
+
+    import numpy as np
+
+    from densemulticut import knn
+    from densemulticut.ann import ann_default_build
+
+    print(f"_BLOCK = {knn._BLOCK}, k = {ANN_K}, seed {BUILD_SEED}")
+    print(f"{'rows':>28} {'anchors':>7} {'build_s':>8} {'peak_mb':>8} {'bound_mb':>8} result")
+    over = 0
+    for label, db, qr in ann_rows():
+        def run():
+            return ann_default_build(db, qr).self_knn(ANN_K)
+
+        build_s = statistics.median(timeit.repeat(run, number=1, repeat=BUILD_REPEATS))
+        tracemalloc.start()
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        n = db.shape[0]
+        n_anchor = min(n, max(8, int(4.0 * np.sqrt(n))))
+        bound = n * ANN_K * 16 + knn._BLOCK * n_anchor * 8 + 2 * n_anchor**2 * 8
+        over += peak > bound
+        print(
+            f"{label:>28} {n_anchor:>7} {build_s:>8.3f} {peak / 2**20:>8.2f} "
+            f"{bound / 2**20:>8.2f} {'within' if peak <= bound else 'OVER'}",
+            flush=True,
+        )
+    print("every peak is within its bound" if not over else f"{over} peaks over their bound")
+    return 1 if over else 0
+
+
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--build", action="store_true",
                    help="time the graph builds' screened search instead of the cuts")
+    p.add_argument("--ann", action="store_true",
+                   help="time the ANN index build and check its memory peak instead")
     args = p.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = BLAS_THREADS
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     if args.build:
         return build_main()
+    if args.ann:
+        return ann_main()
     # numpy loads only after the BLAS thread count is pinned
     import numpy as np
 
