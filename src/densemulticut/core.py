@@ -34,6 +34,8 @@ from .errors import ArgumentError, CapacityError, StateError
 
 #: Largest instance the exhaustive partition oracle accepts (Bell-number growth).
 MAX_ORACLE_N = 12
+# Bytes of float64 feature rows the objective converts at a time (1 MiB).
+_SUM_BYTES = 1 << 20
 
 
 class AlphaSign(enum.Enum):
@@ -262,12 +264,15 @@ def _extended_rows(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     For MINUS the query side carries the negated affinity so that every
     similarity is a plain inner product of a query row with a database row.
+    Without that difference both are one array. The rows are written
+    straight into the arrays returned, so the call holds no other copy.
     """
-    base = fm.data.astype(np.float64)
     if fm.alpha_sign is AlphaSign.OFF or fm.alpha is None:
-        return base, base
-    alpha = fm.alpha.astype(np.float64)
-    db = np.hstack([base, alpha[:, None]])
+        rows = fm.data.astype(np.float64)
+        return rows, rows
+    db = np.empty((fm.n, fm.d + 1))
+    db[:, :-1] = fm.data
+    db[:, -1] = fm.alpha
     if fm.alpha_sign is AlphaSign.PLUS:
         return db, db
     qr = db.copy()
@@ -303,7 +308,8 @@ class ContractionState:
     after it packed order is not ascending id order. A contraction sums the
     merged rows into i's slot, which the merged node takes, and moves the
     last alive row into j's slot, in O(d). Memory: ``n0`` float64 rows,
-    doubled under MINUS, taken from :func:`_extended_rows` without a copy.
+    doubled under MINUS, which :func:`_extended_rows` writes in place, so
+    building the state holds no other copy of the rows.
 
     Mutation is single-writer; reads of the immutable input may be shared
     across threads.
@@ -385,6 +391,11 @@ def objective(instance: FeatureMatrix | SparseWeightedGraph, labels: np.ndarray)
     ``X_c . (X - X_c)`` plus ``factor * A_c * (A - A_c)`` for the affinity
     column. Labels need not be contiguous; a single cluster gives exactly
     0.0.
+
+    The cluster sums are taken a chunk of features at a time, each chunk's
+    rows converted to float64 within ``_SUM_BYTES`` (at least one feature),
+    so the pass holds the ``(d, clusters)`` sums but no float64 copy of the
+    features. Each feature's sums are the same bits as from one whole copy.
     """
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     if isinstance(instance, SparseWeightedGraph):
@@ -400,9 +411,12 @@ def objective(instance: FeatureMatrix | SparseWeightedGraph, labels: np.ndarray)
     order = np.argsort(labels, kind="stable")
     grouped = labels[order]
     starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-    # one row per feature, so every cluster sum runs along contiguous memory
-    rows = fm.data[order].T.astype(np.float64, order="C")
-    x_c = np.add.reduceat(rows, starts, axis=1)
+    x_c = np.empty((fm.d, starts.size))
+    step = max(1, _SUM_BYTES // (8 * fm.n))
+    for lo in range(0, fm.d, step):
+        # one row per feature, so every cluster sum runs along contiguous memory
+        rows = fm.data[order, lo : lo + step].T.astype(np.float64, order="C")
+        np.add.reduceat(rows, starts, axis=1, out=x_c[lo : lo + step])
     total = float(np.einsum("ij,ij->", x_c, x_c.sum(axis=1, keepdims=True) - x_c))
     if fm.alpha_sign is not AlphaSign.OFF and fm.alpha is not None:
         a_c = np.add.reduceat(fm.alpha[order].astype(np.float64), starts)

@@ -47,13 +47,15 @@ value, so ties at the cut resolve by id as well. One helper,
 :func:`select_rows`, does every cut of a block of similarities: the exact
 searches, the approximate index's candidate lists and long single lists.
 It picks the cut from the block's shape. At k = 1 the cut is a row maximum
-plus the smallest id among the entries equal to it. A block of at most
-``_FEW_CELLS`` entries, such as the one- and two-row searches of a
-merge's repair, takes each row's exact k-th value with one partition and
-ranks the entries at or above it. A larger block takes the maxima of
-strided column groups first; the k-th largest group maximum is a lower
-bound on the k-th value, so only the few entries at or above it are
-gathered and ranked. Every cut is exact and all give the same result.
+plus the smallest id among the entries equal to it. A single row, such as
+the merged node's search, and a block of at most ``_FEW_CELLS`` entries,
+such as the two-row searches of a merge's repair, take each row's exact
+k-th value with one partition and rank the entries at or above it. A block
+whose k is a quarter of its columns or more is ranked whole by one stable
+sort. Any other block takes the maxima of strided column groups first; the
+k-th largest group maximum is a lower bound on the k-th value, so only the
+few entries at or above it are gathered and ranked. Every cut is exact and
+all give the same result.
 
 The contraction state holds the alive nodes' rows only, packed in slots
 (``ContractionState.packed`` and ``packed_q``), and every read of a row
@@ -65,13 +67,16 @@ merge's one- or two-row search, is one float64 product that goes straight
 into the cut; its similarity bits can depend on the column's position and
 on how many query rows share the product, since a BLAS may round a one-row
 product differently from a product of several rows (OpenBLAS does). A
-larger search, every graph build, is screened: each block of ``_BLOCK``
-queries is multiplied in float32 and cut under a rigorous bound on the
-rounding error, and the few entries that may rank are rescored in float64
-one pair at a time and ranked. The selection is exact, every similarity
-is a float64 inner product, and its bits depend on the pair alone, not on
-the blocking. The graph and the queue are allocated once, one row per
-node id the solve can create.
+larger search, every graph build, is screened: each block of queries is
+multiplied in float32 and cut under a rigorous bound on the rounding
+error, and the few entries that may rank are rescored in float64 one pair
+at a time and ranked. The selection is exact, every similarity is a
+float64 inner product, and its bits depend on the pair alone, not on the
+blocking. So a block takes as many queries as keep its product near a
+fixed budget, ``_SCREEN_CELLS`` float32 cells, and a build's transient
+memory does not grow with the number of queries times the number of
+alive rows. The graph and the queue are allocated once, one row per node
+id the solve can create.
 """
 
 from __future__ import annotations
@@ -90,6 +95,11 @@ INF = float("inf")
 
 # Query rows per matrix product of a batched search.
 _BLOCK = 512
+# Float32 cells per block of a screened search (4 MiB): a block takes
+# _SCREEN_CELLS // n_db query rows, at least _SCREEN_FLOOR and at most
+# _BLOCK, so its product stays near that size at any database size.
+_SCREEN_CELLS = 1 << 20
+_SCREEN_FLOOR = 32
 # Most column groups a selection takes maxima over.
 _GROUPS = 128
 # Up to this many entries in a block, the partition cut's few numpy calls
@@ -144,32 +154,41 @@ def select_rows(
       maximum, and the masked minimum over the shared ids only for rows
       where the maximum recurs, with no sort and no integer block of the
       size of ``sims``.
-    - at most ``_FEW_CELLS`` entries and more than k columns: each row's
-      exact k-th value from one partition, then the entries at or above it,
-      ranked (:func:`_select_few`). Per call this costs fewer numpy calls
-      than the group-max cut, which matters for the one- and two-row
-      searches of every merge's repair.
+    - more than k columns and one row or at most ``_FEW_CELLS`` entries:
+      each row's exact k-th value from one partition, then the entries at
+      or above it, ranked (:func:`_select_few`). Per call this costs fewer
+      numpy calls than the group-max cut, which matters for the one- and
+      two-row searches of every merge's repair; on the merged node's
+      one-row search, one partition also costs less than the group-max
+      cut's passes up to about 20000 columns (beyond, on unclustered rows,
+      it costs more).
+    - k of at least a quarter of the columns: every row ranked whole by one
+      stable sort (:func:`_select_sorted`). The group-max cut would gather
+      nearly every entry there, and its gather and lexsort cost several
+      times the sort.
     - otherwise the group-max cut (:func:`_select_groups`), which touches
       the block in two cheap passes and is several times faster than a
       partition on a wide block of many rows.
 
-    The last two gather every entry tied with a row's k-th value, so ties
-    at the cut resolve by id with no special case.
+    The partition and group-max cuts gather every entry tied with a row's
+    k-th value, so ties at the cut resolve by id with no special case.
     """
     r, c = sims.shape
     if k == 1 and c:
         best, top = _row_best(sims, ids)
         best[top == -INF] = -1
         return best[:, None], top[:, None]
-    if 1 < k < c and r * c <= _FEW_CELLS:
+    if 1 < k < c and (r == 1 or r * c <= _FEW_CELLS):
         return _select_few(sims, ids, k)
+    if k >= c // 4:
+        return _select_sorted(sims, ids, k)
     return _select_groups(sims, ids, k)
 
 
 def _select_few(
     sims: np.ndarray, ids: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`select_rows` for a small block and ``1 < k < c``.
+    """:func:`select_rows` for one row or a small block and ``1 < k < c``.
 
     One partition gives each row's exact k-th value; one ``nonzero``
     gathers the entries at or above it, which include every entry tied
@@ -181,7 +200,10 @@ def _select_few(
     # the floor keeps -inf entries out when a row has fewer than k finite ones
     floor = np.finfo(sims.dtype).min
     kth = np.maximum(np.partition(sims, c - k, axis=1)[:, c - k], floor)
-    rows, cols = np.nonzero(sims >= kth[:, None])
+    # flat positions cost less than nonzero's two index arrays, most on a
+    # wide row; a single row needs no division
+    flat = (sims >= kth[:, None]).ravel().nonzero()[0]
+    rows, cols = np.divmod(flat, c) if r > 1 else (np.zeros_like(flat), flat)
     if rows.size > _FEW_ENTRIES:
         return _cut_ranked(r, k, rows, ids[cols], sims[rows, cols])
     entries = sorted(zip(rows.tolist(), (-sims[rows, cols]).tolist(), ids[cols].tolist()))
@@ -224,6 +246,27 @@ def _select_groups(
         rows, cols, picked = _above_threshold(sims, k)
         return _cut_ranked(r, k, rows, ids[cols], picked)
     return np.full((r, k), -1, dtype=np.int64), np.full((r, k), -INF)
+
+
+def _select_sorted(
+    sims: np.ndarray, ids: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`select_rows` by ranking every row whole, for any shape and k.
+
+    The columns are put in ascending id order, so one stable sort of the
+    negated similarities ranks each row by descending similarity with ties
+    toward the smaller id; ``-inf`` entries sort last and are cut to the
+    pad. The similarities returned are the block's own entries.
+    """
+    r, c = sims.shape
+    by_id = np.argsort(ids)
+    cols = by_id[np.argsort(-sims.take(by_id, axis=1), axis=1, kind="stable")[:, :k]]
+    w = cols.shape[1]
+    out_ids = np.full((r, k), -1, dtype=np.int64)
+    out_sims = np.full((r, k), -INF)
+    out_sims[:, :w] = np.take_along_axis(sims, cols, axis=1)
+    out_ids[:, :w] = np.where(out_sims[:, :w] > -INF, ids[cols], -1)
+    return out_ids, out_sims
 
 
 def _cut_ranked(
@@ -357,17 +400,25 @@ def block_topk(
     A BLAS may round a product of one query row differently from one of
     several, so these similarity bits depend on the block.
 
-    More queries, every graph build, are screened block by block of
-    ``_BLOCK`` queries into arrays allocated once (:func:`_screen_block`):
-    each block is multiplied in float32 against ``db`` converted once per
-    call, every entry that may rank in a row's top k is gathered under the
-    row's rounding-error slack (:func:`_screen_slack`), and the gathered
-    pairs are rescored in float64 one dot product each and ranked. The
-    float32 values only pick candidates: every similarity returned is a
-    float64 inner product whose bits do not depend on the blocking, and the
-    selection is exact. When a row norm lies outside the range where the
-    slack holds (float32 products could overflow or fall into subnormals),
-    the call takes the float64 products of the one-block path instead.
+    More queries, every graph build, are screened block by block into
+    arrays allocated once (:func:`_screen_block`): each block is multiplied
+    in float32 against ``db`` converted once per call, every entry that may
+    rank in a row's top k is gathered under the row's rounding-error slack
+    (:func:`_screen_slack`), and the gathered pairs are rescored in float64
+    one dot product each and ranked. The float32 values only pick
+    candidates: every similarity returned is a float64 inner product whose
+    bits do not depend on the blocking, and the selection is exact.
+
+    A screened block takes ``_SCREEN_CELLS // len(db)`` queries, clamped to
+    ``[_SCREEN_FLOOR, _BLOCK]``. Besides the ``(nq, k)`` output and the
+    float32 copy of ``db``, a call then holds one float32 product of at
+    most ``_SCREEN_CELLS`` cells (4 MiB) while ``db`` has at most
+    ``_SCREEN_CELLS // _SCREEN_FLOOR`` rows (``_SCREEN_FLOOR`` rows of it
+    beyond), and the float64 rows of the pairs that block gathers. When a
+    row norm lies outside the range where the slack holds (float32 products
+    could overflow or fall into subnormals), the call takes float64
+    products of ``_BLOCK`` queries instead, each cut as the one-block path
+    cuts it.
     """
     if k < 1:
         raise ArgumentError("k must be at least 1")
@@ -377,12 +428,14 @@ def block_topk(
     q_norms = np.sqrt(np.einsum("ij,ij->i", qr, qr))[queries]
     d_max = np.sqrt(np.einsum("ij,ij->i", db, db).max(initial=0.0))
     screen = _screen_slack(q_norms, d_max, db.shape[1])
+    step = _BLOCK
     if screen is not None:
         db32 = db.astype(np.float32)
+        step = min(_BLOCK, max(_SCREEN_FLOOR, _SCREEN_CELLS // db.shape[0]))
     out_ids = np.empty((nq, k), dtype=np.int64)
     out_sims = np.empty((nq, k))
-    for start in range(0, nq, _BLOCK):
-        stop = min(start + _BLOCK, nq)
+    for start in range(0, nq, step):
+        stop = min(start + step, nq)
         block = queries[start:stop], db, ids, self_pos[start:stop], k
         out_ids[start:stop], out_sims[start:stop] = (
             _cut_block(qr, *block)

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densemulticut import core
 from densemulticut.core import (
     AlphaSign,
     ContractionForest,
@@ -270,6 +273,75 @@ class TestObjectiveDegenerate:
         fm = fm_from([[1, 0.5], [1, 0], [0.25, 1]], alpha=0.4, sign=AlphaSign.MINUS)
         assert objective(fm, [5, 5, 2]) == objective(fm, [0, 0, 1])
         assert objective(fm, [7, -1, 7]) == pytest.approx(objective(fm, [0, 1, 0]))
+
+
+def whole_copy_objective(fm, labels):
+    """The dense objective with every cluster sum taken from one float64
+    copy of all the features, in the same order of operations."""
+    labels = np.asarray(labels, dtype=np.int64)
+    order = np.argsort(labels, kind="stable")
+    grouped = labels[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    x_c = np.add.reduceat(fm.data[order].T.astype(np.float64, order="C"), starts, axis=1)
+    total = float(np.einsum("ij,ij->", x_c, x_c.sum(axis=1, keepdims=True) - x_c))
+    if fm.alpha_sign is not AlphaSign.OFF and fm.alpha is not None:
+        a_c = np.add.reduceat(fm.alpha[order].astype(np.float64), starts)
+        total += fm.alpha_sign.factor * float(a_c @ (a_c.sum() - a_c))
+    return total / 2.0
+
+
+def stacked_extended_rows(fm):
+    """:func:`_extended_rows` from a float64 copy of the features with the
+    affinity column stacked on, the query side negated under MINUS."""
+    base = fm.data.astype(np.float64)
+    if fm.alpha_sign is AlphaSign.OFF or fm.alpha is None:
+        return base, base
+    db = np.hstack([base, fm.alpha.astype(np.float64)[:, None]])
+    if fm.alpha_sign is AlphaSign.PLUS:
+        return db, db
+    qr = db.copy()
+    qr[:, -1] = -qr[:, -1]
+    return qr, db
+
+
+def float_bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+SIGNS = [AlphaSign.PLUS, AlphaSign.MINUS, AlphaSign.OFF]
+
+
+class TestBoundedTemporaries:
+    # the chunked objective and the in-place extended rows must give the
+    # bits of the whole copies they replace
+    @pytest.mark.parametrize("sign", SIGNS)
+    @pytest.mark.parametrize("d", [1, 15, 16, 17, 129])
+    def test_chunked_objective_equals_one_whole_copy(self, d, sign):
+        n = 300
+        rng = np.random.default_rng(d)
+        rows = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        fm = fm_from(rows, alpha=0.7, sign=sign)
+        partitions = (rng.integers(0, 7, n), rng.integers(0, n, n), np.zeros(n))
+        # 16 features per chunk, so d = 15, 16, 17 and 129 end a chunk
+        # before, at and after a boundary
+        with mock.patch.object(core, "_SUM_BYTES", 16 * 8 * n):
+            for labels in partitions:
+                got = objective(fm, labels)
+                assert float_bits(got) == float_bits(whole_copy_objective(fm, labels))
+
+    @pytest.mark.parametrize("sign", SIGNS)
+    @pytest.mark.parametrize("alpha", [None, 0.4])
+    @pytest.mark.parametrize("d", [1, 7, 33])
+    def test_extended_rows_equal_stacked_copies(self, d, alpha, sign):
+        # d = 7 gives rows of 8 float64, a 64-byte stride for the affinity
+        # column
+        fm = make_instance(50, d, seed=d, alpha=alpha, sign=sign)
+        qr, db = _extended_rows(fm)
+        qr0, db0 = stacked_extended_rows(fm)
+        assert (qr is db) == (qr0 is db0)
+        for got, want in ((qr, qr0), (db, db0)):
+            assert got.flags.c_contiguous and got.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestMaterialize:

@@ -155,6 +155,38 @@ class TestScreenedSearch:
         np.testing.assert_array_equal(runs[0].ids, runs[1].ids)
         np.testing.assert_array_equal(runs[0].sims.view(np.int64), runs[1].sims.view(np.int64))
 
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("rows", ["spread", "ties"])
+    def test_results_do_not_depend_on_the_block_size(self, rows, k):
+        # MINUS query rows; "ties" holds 125 distinct integer rows among
+        # 700, so rows repeat and nearly every k-th value is tied
+        if rows == "ties":
+            fm = integer_state(700, 3, seed=8).fm.with_affinity(0.5, AlphaSign.MINUS)
+            state = ContractionState(fm)
+            qr, db, ids = state.packed_q, state.packed, state.order
+            queries = np.random.default_rng(9).permutation(700)[: knn._BLOCK + 88]
+        else:
+            db, ids, queries = spread_rows(700, 33, seed=9)
+            qr = db.copy()
+            qr[:, -1] *= -1.0
+        # cell budgets that give blocks of _BLOCK rows, of 100 rows and of
+        # the floor
+        sizes, runs = [], []
+        for cells in (db.shape[0] * knn._BLOCK, db.shape[0] * 100, 0):
+            with (
+                mock.patch.object(knn, "_SCREEN_CELLS", cells),
+                mock.patch.object(knn, "_screen_block", wraps=knn._screen_block) as spy,
+            ):
+                runs.append(knn.block_topk(qr, queries, db, ids, queries, k))
+            sizes.append(max(c.args[1].size for c in spy.call_args_list))
+        assert sizes == [knn._BLOCK, 100, knn._SCREEN_FLOOR]
+        for run in runs[1:]:
+            np.testing.assert_array_equal(run.ids, runs[0].ids)
+            np.testing.assert_array_equal(run.sims.view(np.int64), runs[0].sims.view(np.int64))
+        want_ids, want_sims = brute_block(qr, queries, db, ids, queries, k)
+        np.testing.assert_array_equal(runs[0].ids, want_ids)
+        assert_sims_close(qr, queries, db, runs[0].sims, want_sims)
+
     def test_a_pair_rescores_alone_as_in_a_batch(self):
         db, ids, queries = spread_rows(700, 129, seed=6)
         got = knn.block_topk(db, queries, db, ids, queries, 5)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from densemulticut.core import (
     materialize_cost_matrix,
     objective,
 )
+from densemulticut import solvers
 from densemulticut.errors import ArgumentError
+from densemulticut.knn import CandidateQueue, best_arc
 from densemulticut.solvers import (
     ALGORITHMS,
     SolverConfig,
@@ -266,6 +270,51 @@ class TestSolverProperties:
                 )
                 counts.append(dense_gaec_inc(fm, cfg).partition.n_clusters)
             assert counts == sorted(counts)
+
+
+def queue_instances():
+    """(features, sign, alpha): clustered rows, integer rows with ties and
+    Gaussian rows."""
+    for idx in range(4):
+        yield (*clustered_instance(idx), 0.4)
+    ints = np.random.default_rng(11).integers(-2, 3, size=(80, 2))
+    yield FeatureMatrix(ints.astype(np.float32)), AlphaSign.MINUS, 0.5
+    yield make_instance(150, 8, seed=12), AlphaSign.MINUS, 0.4
+
+
+class TestQueueEntries:
+    # every repair computes the queue entries of the rows it changes, so
+    # before each pick every alive node's entry is what a refresh of its
+    # row gives, and best_arc never refreshes a stale entry: the solver
+    # refreshes only the graphs it builds
+    @pytest.mark.parametrize("alg", ["dgaec", "dgaec-inc", "dlaec", "dapplaec"])
+    def test_entries_stay_current_after_every_merge(self, alg):
+        picks = 0
+
+        def checked_best_arc(graph, queue, state):
+            nonlocal picks
+            picks += 1
+            alive = state.alive_ids()
+            fresh = CandidateQueue(graph.capacity)
+            fresh.refresh(graph, alive)
+            np.testing.assert_array_equal(queue.best_sim[alive], fresh.best_sim[alive])
+            np.testing.assert_array_equal(queue.best_dst[alive], fresh.best_dst[alive])
+            return best_arc(graph, queue, state)
+
+        for fm, sign, alpha in queue_instances():
+            picks = 0
+            cfg = SolverConfig(algorithm=alg, alpha=alpha, alpha_sign=sign)
+            with (
+                mock.patch.object(solvers, "best_arc", checked_best_arc),
+                mock.patch.object(
+                    CandidateQueue, "refresh", autospec=True, side_effect=CandidateQueue.refresh
+                ) as refresh,
+            ):
+                res = solve(fm, cfg)
+            assert picks >= len(res.trace)
+            # a stale refresh passes the alive mask; the checker's do not
+            assert all(len(c.args) == 3 and not c.kwargs for c in refresh.call_args_list)
+            assert refresh.call_count - picks == 1 + res.stats["rebuilds"]
 
 
 class TestSolveDispatch:

@@ -22,19 +22,32 @@ row's k-th value is tied with about half its entries; each row has one
 shuffled range. All cuts must return identical arrays on every block; the
 exit code is 1 when they do not, else 0.
 
-``--build`` instead times the graph builds' screened search. For each
-benchmark instance (seed 7, the benchmark's affinity) and for one state
-after n/2 random contractions of it, whose merged rows have larger norms,
-it times ``knn.topk_batch`` over every alive node at k in {1, 5}, the
-median of three calls, and prints the entries per row the screen gathers
-and rescores (``fallback`` when the call took float64 products). It
+``--build`` instead times the graph builds' screened search and checks its
+memory. For each benchmark instance (seed 7, the benchmark's affinity), for
+one state after n/2 random contractions of it, whose merged rows have
+larger norms, and for ``synth_rows(n, 32, 20, 0.1, seed=1)`` of
+``tests/test_ann.py`` at n in {20000, 50000} under the same affinity, it
+times ``knn.topk_batch`` over every alive node at k in {1, 5}, the median
+of three calls, and prints the entries per row the screen gathers and
+rescores (``fallback`` when the call took float64 products), the
+``tracemalloc`` peak of one more call and its bound in bytes::
+
+    nq·k·16 + n·dim·4 + 2·rows·n·4 + nq·32 + gathered·(16·dim + 256)
+
+for nq queries against n alive rows of ``dim`` entries: the ``(nq, k)``
+ids and similarities, the float32 copy of the rows, the budgeted block of
+``rows = clamp(_SCREEN_CELLS // n, _SCREEN_FLOOR, _BLOCK)`` query rows
+with as much again for the group maxima and group columns the screen
+gathers from it, the per-query norms, slack and positions, and, per entry
+of the block that gathers the most, the query and database rows of its
+float64 rescore plus its indices and values. On the benchmark states it
 compares each result with a float64 reference made of one-block
-``block_topk`` calls of ``_BLOCK`` queries each, also timed; the exit code
-is 1 unless the ids are equal and the similarities agree to a relative
-1e-12 on every search, else 0. The relative error is taken against a
-row's scale ``‖q‖·max‖d‖``, the bound on any of its similarities: a
-similarity near zero from cancelling terms carries float64 rounding of
-that scale, not of itself.
+``block_topk`` calls of ``_BLOCK`` queries each, also timed. The exit code
+is 1 when a peak exceeds its bound or a result differs from the reference
+(ids unequal or similarities apart by more than a relative 1e-12), else
+0. The relative error is taken against a row's scale ``‖q‖·max‖d‖``, the
+bound on any of its similarities: a similarity near zero from cancelling
+terms carries float64 rounding of that scale, not of itself.
 
 ``--ann`` instead measures the default ANN index's build, the initial graph
 of ``dapplaec``. For each benchmark instance (seed 7, the benchmark's
@@ -69,6 +82,7 @@ REPEATS = 5
 BUILD_SEED = 7
 BUILD_KS = (1, 5)
 BUILD_REPEATS = 3
+BUILD_SIZES = (20000, 50000)
 ANN_K = 5
 ANN_SIZES = (20000, 50000, 100000)
 
@@ -82,25 +96,46 @@ def per_call_us(cut, sims, ids, k) -> float:
 
 
 def build_states():
-    """(label, state) for every benchmark instance at ``BUILD_SEED``, fresh
-    and after n/2 random contractions."""
+    """(label, state, whether to compare with the float64 reference) for
+    every benchmark instance at ``BUILD_SEED``, fresh and after n/2 random
+    contractions, and for the synthetic rows of ``BUILD_SIZES``."""
     import numpy as np
 
-    from densemulticut.core import ContractionState
+    from densemulticut.core import ContractionState, FeatureMatrix
     from solverbench import bench
+
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_ann import synth_rows
 
     for workload in bench.WORKLOADS.values():
         fm = workload.regime.instance(BUILD_SEED).with_affinity(bench.ALPHA, bench.SIGN)
-        yield f"{workload.name} n {fm.n}", ContractionState(fm)
+        yield f"{workload.name} n {fm.n}", ContractionState(fm), True
         state = ContractionState(fm)
         rng = np.random.default_rng(BUILD_SEED)
         for _ in range(fm.n // 2):
             i, j = rng.choice(state.alive_ids(), size=2, replace=False)
             state.contract(int(i), int(j))
-        yield f"{workload.name} merged n {state.n_alive}", state
+        yield f"{workload.name} merged n {state.n_alive}", state, True
+    for n in BUILD_SIZES:
+        rows = synth_rows(n, 32, 20, 0.1, seed=1).astype(np.float32)
+        fm = FeatureMatrix(rows).with_affinity(bench.ALPHA, bench.SIGN)
+        yield f"synth_rows n {n}", ContractionState(fm), False
+
+
+def build_bound(state, nq: int, k: int, gathered: int) -> int:
+    """The byte bound on one screened search's ``tracemalloc`` peak, from
+    the module docstring; ``gathered`` is the most entries one block
+    gathered."""
+    from densemulticut import knn
+
+    n, dim = state.n_alive, state.dim
+    rows = min(knn._BLOCK, max(knn._SCREEN_FLOOR, knn._SCREEN_CELLS // n))
+    return nq * k * 16 + n * dim * 4 + 2 * rows * n * 4 + nq * 32 + gathered * (16 * dim + 256)
 
 
 def build_main() -> int:
+    import tracemalloc
+
     import numpy as np
 
     from densemulticut import knn
@@ -129,36 +164,52 @@ def build_main() -> int:
             gathered.append(out[0].size)
         return out
 
-    print(f"_BLOCK = {knn._BLOCK}, seed {BUILD_SEED}")
-    print(f"{'state':>28} {'k':>2} {'screened_s':>10} {'float64_s':>10} {'per_row':>8} result")
-    failures = 0
-    for label, state in build_states():
+    print(
+        f"_BLOCK = {knn._BLOCK}, _SCREEN_CELLS = {knn._SCREEN_CELLS}, "
+        f"_SCREEN_FLOOR = {knn._SCREEN_FLOOR}, seed {BUILD_SEED}"
+    )
+    print(
+        f"{'state':>28} {'k':>2} {'screened_s':>10} {'float64_s':>10} {'per_row':>8} "
+        f"{'peak_mb':>8} {'bound_mb':>8} result"
+    )
+    failures = over = 0
+    for label, state, reference in build_states():
         queries = state.alive_ids()
         for k in BUILD_KS:
             screened_s = median_s(lambda: knn.topk_batch(state, queries, k))
-            float64_s = median_s(lambda: float64_blocks(state, queries, k))
             gathered.clear()
             knn._above_threshold = counting
+            tracemalloc.start()
             try:
                 got = knn.topk_batch(state, queries, k)
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
+                tracemalloc.stop()
                 knn._above_threshold = above
-            want_ids, want_sims = float64_blocks(state, queries, k)
-            q = state.packed_q[state.slot[queries]]
-            d = state.packed[: state.n_alive]
-            scale = np.sqrt(np.einsum("ij,ij->i", q, q) * np.einsum("ij,ij->i", d, d).max())
-            ok = np.array_equal(got.ids, want_ids) and bool(
-                (np.abs(got.sims - want_sims) <= 1e-12 * scale[:, None]).all()
-            )
-            failures += not ok
+            bound = build_bound(state, queries.size, k, max(gathered, default=0))
+            over += peak > bound
+            result = "within" if peak <= bound else "OVER"
+            float64_s = "-"
+            if reference:
+                float64_s = f"{median_s(lambda: float64_blocks(state, queries, k)):.3f}"
+                want_ids, want_sims = float64_blocks(state, queries, k)
+                q = state.packed_q[state.slot[queries]]
+                d = state.packed[: state.n_alive]
+                scale = np.sqrt(np.einsum("ij,ij->i", q, q) * np.einsum("ij,ij->i", d, d).max())
+                ok = np.array_equal(got.ids, want_ids) and bool(
+                    (np.abs(got.sims - want_sims) <= 1e-12 * scale[:, None]).all()
+                )
+                failures += not ok
+                result += ", equal" if ok else ", DIFFERS"
             per_row = f"{sum(gathered) / queries.size:.2f}" if gathered else "fallback"
             print(
-                f"{label:>28} {k:>2} {screened_s:>10.3f} {float64_s:>10.3f} {per_row:>8} "
-                f"{'equal' if ok else 'DIFFERS'}",
+                f"{label:>28} {k:>2} {screened_s:>10.3f} {float64_s:>10} {per_row:>8} "
+                f"{peak / 2**20:>8.2f} {bound / 2**20:>8.2f} {result}",
                 flush=True,
             )
     print("every search equals the float64 reference" if not failures else f"{failures} differ")
-    return 1 if failures else 0
+    print("every peak is within its bound" if not over else f"{over} peaks over their bound")
+    return 1 if failures or over else 0
 
 
 def ann_rows():
@@ -264,7 +315,11 @@ def main(argv: list[str]) -> int:
                     same = all(np.array_equal(a, b) for out in rest for a, b in zip(first, out))
                     mismatches += not same
                     few_us, lex_us, groups_us = (per_call_us(cut, sims, ids, k) for cut in cuts)
-                    taken = "few" if r * c <= knn._FEW_CELLS else "groups"
+                    taken = (
+                        "few" if k < c and (r == 1 or r * c <= knn._FEW_CELLS)
+                        else "sorted" if k >= c // 4
+                        else "groups"
+                    )
                     print(
                         f"{kind:>6} {r:>5} {c:>5} {k:>2} {gathered:>8} {few_us:>10.1f} "
                         f"{lex_us:>10.1f} {groups_us:>10.1f} {few_us / groups_us:>10.2f} "
