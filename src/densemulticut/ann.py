@@ -9,6 +9,13 @@ neighbours; there are no neighbour-descent rounds. Stored similarities are
 always true inner products; the approximation is only in candidate
 coverage.
 
+The indexes keep the database rows as given and a sign row
+(:func:`~densemulticut.core.query_sign`) in place of a second array of
+query rows: the build negates the affinity column on copies it gathers
+anyway, the anchors' rows once they are ranked and each group's rows, so
+every product has the terms, and the bits, of the product with separate
+query rows.
+
 The build's memory is the O(n·k) lists plus one block at a time: the
 n_anchor × n_anchor similarities of the anchors (n_anchor ≈ 4√n), then one
 ``_BLOCK`` × n_anchor product per ``_BLOCK`` query rows while nodes are
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .knn import _BLOCK, NeighbourLists, block_topk, select_rows
+from .knn import _BLOCK, NeighbourLists, _query_block, block_topk, select_rows
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,9 @@ class ExactIndex(AnnIndex):
 
     Contiguous float64 rows are kept as given, not copied: an index built
     over a contraction state's packed rows sees every later contraction,
-    so it must not outlive the initial graph. :meth:`self_knn` is the exact
+    so it must not outlive the initial graph. ``sign`` turns a row into its
+    query row (:func:`~densemulticut.core.query_sign`; ``None``, the
+    default, when they are equal). :meth:`self_knn` is the exact
     graph builder's search (:func:`~densemulticut.knn.block_topk`): more
     than ``_BLOCK`` rows are screened in float32 and their winners
     rescored in float64 pair by pair, so its lists equal the builder's bit
@@ -73,11 +82,9 @@ class ExactIndex(AnnIndex):
 
     exact = True
 
-    def __init__(self, db_rows: np.ndarray, query_rows: np.ndarray | None = None):
+    def __init__(self, db_rows: np.ndarray, sign: np.ndarray | None = None):
         self.db = np.ascontiguousarray(db_rows, dtype=np.float64)
-        self.qr = self.db if query_rows is None else np.ascontiguousarray(
-            query_rows, dtype=np.float64
-        )
+        self.sign = sign
 
     @property
     def n(self) -> int:
@@ -87,7 +94,7 @@ class ExactIndex(AnnIndex):
         # the exact graph builder's search, so a run seeded from this index
         # reproduces the exact builder's arcs bit for bit
         ids = np.arange(self.n)
-        return block_topk(self.qr, ids, self.db, ids, ids, k)
+        return block_topk(self.db, ids, ids, k, self.sign)
 
 
 class ProximityGraphIndex(AnnIndex):
@@ -96,6 +103,7 @@ class ProximityGraphIndex(AnnIndex):
     Each node's neighbour list comes from exact scores against the
     candidates of its anchor group's nearest groups, with no
     neighbour-descent rounds, so only candidate coverage is approximate.
+    The rows are kept as given and ``sign`` as in :class:`ExactIndex`.
     """
 
     exact = False
@@ -103,16 +111,14 @@ class ProximityGraphIndex(AnnIndex):
     def __init__(
         self,
         db_rows: np.ndarray,
-        query_rows: np.ndarray | None = None,
+        sign: np.ndarray | None = None,
         params: AnnParams | None = None,
         seed: int = 0,
     ) -> None:
         self.params = params or AnnParams()
         self.seed = seed
         self.db = np.ascontiguousarray(db_rows, dtype=np.float64)
-        self.qr = self.db if query_rows is None else np.ascontiguousarray(
-            query_rows, dtype=np.float64
-        )
+        self.sign = sign
 
     @property
     def n(self) -> int:
@@ -141,7 +147,9 @@ class ProximityGraphIndex(AnnIndex):
         the top ``probes`` of its anchor's row by
         :func:`~densemulticut.knn.select_rows` (descending similarity, ties
         toward the smaller id). The probed groups are disjoint, so their
-        sorted concatenation is the candidate union.
+        sorted concatenation is the candidate union. The sign goes on the
+        anchor rows once they are ranked, for the assignment, and on each
+        group's gathered rows, for its product.
         """
         n = self.n
         p = self.params
@@ -157,9 +165,13 @@ class ProximityGraphIndex(AnnIndex):
         anchor_sims = anchor_rows @ anchor_rows.copy().T
         near_anchors = select_rows(anchor_sims, np.arange(n_anchor), probes)[0]
         del anchor_sims
+        if self.sign is not None:
+            # d_u . q_a has the terms of q_u . d_a, so the assignment has
+            # the bits of the product with the nodes' query rows
+            anchor_rows *= self.sign
         own = np.empty(n, dtype=np.int64)
         for lo in range(0, n, _BLOCK):
-            own[lo : lo + _BLOCK] = np.argmax(self.qr[lo : lo + _BLOCK] @ anchor_rows.T, axis=1)
+            own[lo : lo + _BLOCK] = np.argmax(self.db[lo : lo + _BLOCK] @ anchor_rows.T, axis=1)
         bounds = np.cumsum(np.bincount(own, minlength=n_anchor))[:-1]
         members = np.split(np.argsort(own, kind="stable"), bounds)
 
@@ -171,7 +183,7 @@ class ProximityGraphIndex(AnnIndex):
             if group.size == 0:
                 continue
             cand = np.sort(np.concatenate([members[a] for a in near_anchors[c]]))
-            block = self.qr[group] @ self.db[cand].T
+            block = _query_block(self.db, group, self.sign) @ self.db[cand].T
             block[cand[None, :] == group[:, None]] = -np.inf
             nbrs[group, :keep], sims[group, :keep] = select_rows(block, cand, keep)
         return nbrs, sims
@@ -182,9 +194,10 @@ class ProximityGraphIndex(AnnIndex):
 
 def ann_default_build(
     db_rows: np.ndarray,
-    query_rows: np.ndarray | None = None,
+    sign: np.ndarray | None = None,
     params: AnnParams | None = None,
     seed: int = 0,
 ) -> ProximityGraphIndex:
-    """Default approximate index over (extended) feature rows."""
-    return ProximityGraphIndex(db_rows, query_rows, params=params, seed=seed)
+    """Default approximate index over (extended) feature rows, ``sign``
+    turning a row into its query row."""
+    return ProximityGraphIndex(db_rows, sign, params=params, seed=seed)

@@ -12,10 +12,13 @@ cut by a partition is ``1/2 * sum_c Q_c . (D - D_c)``, where ``Q_c`` and
 the sum of all database rows, so scoring a partition takes O(n*d) rather
 than O(n^2*d).
 
-The solver workspace keeps only the current clusters' 64-bit rows, packed
-at the front of one ``n``-row array (and one more for the query rows when
-the affinity sign is MINUS), so an exact search multiplies against the
-alive rows without gathering them.
+The solver workspace keeps only the current clusters' 64-bit database rows,
+packed at the front of one ``n``-row array, so an exact search multiplies
+against the alive rows without gathering them. A query row differs from
+its database row only in the sign of the affinity column under MINUS, so
+it is made by negating that column (:func:`query_sign`) on a copy the
+search already holds, a gathered block or one row, never kept for all
+nodes.
 
 Features are stored in 32-bit precision; all similarity arithmetic is
 accumulated in 64-bit. The exact graph builds screen candidates with
@@ -259,25 +262,45 @@ def canonical_labels(labels: np.ndarray) -> np.ndarray:
     return rank[inverse]
 
 
-def _extended_rows(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """64-bit (query_rows, db_rows) with the affinity column folded in.
-
-    For MINUS the query side carries the negated affinity so that every
-    similarity is a plain inner product of a query row with a database row.
-    Without that difference both are one array. The rows are written
-    straight into the arrays returned, so the call holds no other copy.
-    """
+def _database_rows(fm: FeatureMatrix) -> np.ndarray:
+    """64-bit database rows with the affinity column folded in, unless the
+    sign is OFF. The rows are written straight into the array returned, so
+    the call holds no other copy."""
     if fm.alpha_sign is AlphaSign.OFF or fm.alpha is None:
-        rows = fm.data.astype(np.float64)
-        return rows, rows
+        return fm.data.astype(np.float64)
     db = np.empty((fm.n, fm.d + 1))
     db[:, :-1] = fm.data
     db[:, -1] = fm.alpha
-    if fm.alpha_sign is AlphaSign.PLUS:
-        return db, db
-    qr = db.copy()
-    qr[:, -1] = -qr[:, -1]
-    return qr, db
+    return db
+
+
+def query_sign(fm: FeatureMatrix) -> np.ndarray | None:
+    """The row that turns a database row into its query row when multiplied
+    in: ``-1`` in the affinity column under MINUS, ``1`` elsewhere; ``None``
+    when the two rows are equal.
+
+    Negation is exact, so a query row made this way has the bits of one
+    kept apart, and ``q_u . d_v`` has the same terms as ``d_u . q_v``, so
+    either side may carry the sign.
+    """
+    if fm.alpha_sign is not AlphaSign.MINUS or fm.alpha is None:
+        return None
+    sign = np.ones(fm.d + 1)
+    sign[-1] = -1.0
+    return sign
+
+
+def _extended_rows(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """64-bit (query_rows, db_rows) with the affinity column folded in, for
+    the oracles that take every pair at once.
+
+    For MINUS the query side carries the negated affinity so that every
+    similarity is a plain inner product of a query row with a database row.
+    Without that difference both are one array.
+    """
+    db = _database_rows(fm)
+    sign = query_sign(fm)
+    return (db if sign is None else db * sign), db
 
 
 def similarity(fm: FeatureMatrix, i: int, j: int) -> float:
@@ -300,16 +323,18 @@ class ContractionState:
     the alive nodes only, the aliveness mask and the merge forest. The
     database rows are packed at the front of one ``(n0, dim)`` array,
     ``packed``, so an exact search multiplies straight against
-    ``packed[:n_alive]`` with no gather; ``packed_q`` holds the query rows
-    in the same slots and is ``packed`` itself unless the affinity sign is
-    MINUS. ``order[p]`` is the id in slot ``p`` and ``slot[u]`` the slot of
-    id ``u`` (``-1`` once ``u`` is dead); every read of a node's row goes
-    through ``slot``. Until the first contraction the slots are the ids;
-    after it packed order is not ascending id order. A contraction sums the
-    merged rows into i's slot, which the merged node takes, and moves the
-    last alive row into j's slot, in O(d). Memory: ``n0`` float64 rows,
-    doubled under MINUS, which :func:`_extended_rows` writes in place, so
-    building the state holds no other copy of the rows.
+    ``packed[:n_alive]`` with no gather. ``query_sign`` (:func:`query_sign`)
+    turns a database row into its query row, ``None`` unless the affinity
+    sign is MINUS; :meth:`query_row` applies it to one row, and the searches
+    apply it to the copies they gather. ``order[p]`` is the id in slot ``p``
+    and ``slot[u]`` the slot of id ``u`` (``-1`` once ``u`` is dead); every
+    read of a node's row goes through ``slot``. Until the first contraction
+    the slots are the ids; after it packed order is not ascending id order.
+    A contraction sums the merged rows into i's slot, which the merged node
+    takes, and moves the last alive row into j's slot, in O(d). Memory:
+    ``n0`` float64 rows under every sign, which :func:`_database_rows`
+    writes in place, so building the state holds no other copy of the
+    rows, plus the int64 slot, order and forest arrays.
 
     Mutation is single-writer; reads of the immutable input may be shared
     across threads.
@@ -319,7 +344,8 @@ class ContractionState:
         self.fm = fm
         self.sign = fm.alpha_sign
         n = fm.n
-        self.packed_q, self.packed = _extended_rows(fm)
+        self.packed = _database_rows(fm)
+        self.query_sign = query_sign(fm)
         self.dim = self.packed.shape[1]
         self.order = np.arange(n, dtype=np.int64)
         self.slot = np.full(2 * n - 1, -1, dtype=np.int64)
@@ -342,26 +368,30 @@ class ContractionState:
     def alive_ids(self) -> np.ndarray:
         return np.flatnonzero(self.alive)
 
+    def query_row(self, u: int) -> np.ndarray:
+        """The query row of alive node ``u``: a copy of its packed row with
+        the sign applied, or under PLUS and OFF the packed row itself."""
+        row = self.packed[self.slot.item(u)]
+        return row if self.query_sign is None else row * self.query_sign
+
     def sim(self, i: int, j: int) -> float:
         si, sj = self.slot.item(i), self.slot.item(j)
         if si < 0 or sj < 0:
             raise StateError(f"node {i if si < 0 else j} is not alive")
-        return float(np.dot(self.packed_q[si], self.packed[sj]))
+        return float(np.dot(self.query_row(i), self.packed[sj]))
 
     def sims_to(self, q: int, ids: np.ndarray) -> np.ndarray:
         """Similarities from alive query node ``q`` to each alive node in
         ``ids``."""
-        return self.packed.take(self.slot.take(ids), axis=0) @ self.packed_q[self.slot.item(q)]
+        return self.packed.take(self.slot.take(ids), axis=0) @ self.query_row(q)
 
     def contract(self, i: int, j: int) -> int:
         """Contract nodes ``i`` and ``j``; returns the fresh merged id."""
         # the forest rejects i == j and dead ends before any row is written
         m = self.forest.merge(i, j)
-        packed, packed_q, order, slot = self.packed, self.packed_q, self.order, self.slot
+        packed, order, slot = self.packed, self.order, self.slot
         si, sj = slot.item(i), slot.item(j)
         np.add(packed[si], packed[sj], out=packed[si])
-        if packed_q is not packed:
-            np.add(packed_q[si], packed_q[sj], out=packed_q[si])
         # one alive node fewer: slot ``last`` falls out of packed[:n_alive]
         last = self.n_alive
         order[si] = m
@@ -373,8 +403,6 @@ class ContractionState:
             # fills the hole j left
             moved = order.item(last)
             packed[sj] = packed[last]
-            if packed_q is not packed:
-                packed_q[sj] = packed_q[last]
             order[sj] = moved
             slot[moved] = sj
         return m

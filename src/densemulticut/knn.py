@@ -51,32 +51,35 @@ plus the smallest id among the entries equal to it. A single row, such as
 the merged node's search, and a block of at most ``_FEW_CELLS`` entries,
 such as the two-row searches of a merge's repair, take each row's exact
 k-th value with one partition and rank the entries at or above it. A block
-whose k is a quarter of its columns or more is ranked whole by one stable
+whose k is an eighth of its columns or more is ranked whole by one stable
 sort. Any other block takes the maxima of strided column groups first; the
 k-th largest group maximum is a lower bound on the k-th value, so only the
 few entries at or above it are gathered and ranked. Every cut is exact and
 all give the same result.
 
-The contraction state holds the alive nodes' rows only, packed in slots
-(``ContractionState.packed`` and ``packed_q``), and every read of a row
-goes through ``ContractionState.slot``. The exact searches multiply query
-rows straight against ``packed[:n_alive]``, whose columns are not in id
-order. The selection ranks ids in any order, so the order of the columns
-changes no ranking. A search of at most ``_BLOCK`` queries, such as a
-merge's one- or two-row search, is one float64 product that goes straight
-into the cut; its similarity bits can depend on the column's position and
-on how many query rows share the product, since a BLAS may round a one-row
-product differently from a product of several rows (OpenBLAS does). A
-larger search, every graph build, is screened: each block of queries is
-multiplied in float32 and cut under a rigorous bound on the rounding
-error, and the few entries that may rank are rescored in float64 one pair
-at a time and ranked. The selection is exact, every similarity is a
-float64 inner product, and its bits depend on the pair alone, not on the
-blocking. So a block takes as many queries as keep its product near a
-fixed budget, ``_SCREEN_CELLS`` float32 cells, and a build's transient
-memory does not grow with the number of queries times the number of
-alive rows. The graph and the queue are allocated once, one row per node
-id the solve can create.
+The contraction state holds the alive nodes' database rows only, packed in
+slots (``ContractionState.packed``), and every read of a row goes through
+``ContractionState.slot``. A query row is made from its database row by
+``ContractionState.query_sign``, which negates the affinity column under
+MINUS, on a copy the search holds anyway: the gathered rows of a block of
+queries, or the merged node's row, never a second array of all rows. The
+exact searches multiply query rows straight against ``packed[:n_alive]``,
+whose columns are not in id order. The selection ranks ids in any order,
+so the order of the columns changes no ranking. A search of at most
+``_BLOCK`` queries, such as a merge's one- or two-row search, is one
+float64 product that goes straight into the cut; its similarity bits can
+depend on the column's position and on how many query rows share the
+product, since a BLAS may round a one-row product differently from a
+product of several rows (OpenBLAS does). A larger search, every graph
+build, is screened: each block of queries is multiplied in float32 and cut
+under a rigorous bound on the rounding error, and the few entries that may
+rank are rescored in float64 one pair at a time and ranked. The selection
+is exact, every similarity is a float64 inner product, and its bits depend
+on the pair alone, not on the blocking. So a block takes as many queries
+as keep its product near a fixed budget, ``_SCREEN_CELLS`` float32 cells,
+and a build's transient memory does not grow with the number of queries
+times the number of alive rows. The graph and the queue are allocated
+once, one row per node id the solve can create.
 """
 
 from __future__ import annotations
@@ -162,10 +165,12 @@ def select_rows(
       one-row search, one partition also costs less than the group-max
       cut's passes up to about 20000 columns (beyond, on unclustered rows,
       it costs more).
-    - k of at least a quarter of the columns: every row ranked whole by one
+    - k of at least an eighth of the columns: every row ranked whole by one
       stable sort (:func:`_select_sorted`). The group-max cut would gather
-      nearly every entry there, and its gather and lexsort cost several
-      times the sort.
+      a large share of the entries there, and its gather and lexsort cost
+      more than the sort and hold more temporaries (the ANN's 178 × 178
+      anchor block at k = 36: 3.7 against 1.6 ms, 1.00 against 0.59 MiB;
+      ``tools/cut_bench.py --ann``).
     - otherwise the group-max cut (:func:`_select_groups`), which touches
       the block in two cheap passes and is several times faster than a
       partition on a wide block of many rows.
@@ -180,7 +185,7 @@ def select_rows(
         return best[:, None], top[:, None]
     if 1 < k < c and (r == 1 or r * c <= _FEW_CELLS):
         return _select_few(sims, ids, k)
-    if k >= c // 4:
+    if k >= c // 8:
         return _select_sorted(sims, ids, k)
     return _select_groups(sims, ids, k)
 
@@ -384,21 +389,25 @@ class NeighbourLists(Sequence):
 
 
 def block_topk(
-    qr: np.ndarray,
-    queries: np.ndarray,
     db: np.ndarray,
+    queries: np.ndarray,
     ids: np.ndarray,
-    self_pos: np.ndarray,
     k: int,
+    sign: np.ndarray | None = None,
 ) -> NeighbourLists:
-    """Exact top-k of query rows ``qr[queries]`` against database rows ``db``.
+    """Exact top-k of the query rows of ``db[queries]`` against the database
+    rows ``db``.
 
-    ``ids[c]`` names database row ``c``; ``self_pos[r]`` is the database row
-    query ``r`` must skip, its own. At most ``_BLOCK`` queries, such as a
-    merge's one- or two-row search, are one block: one float64 product, in
-    the order given, cut whole by :func:`select_rows` and returned as it is.
-    A BLAS may round a product of one query row differently from one of
-    several, so these similarity bits depend on the block.
+    A query row is its database row times ``sign``
+    (:func:`~densemulticut.core.query_sign`), or the row itself when
+    ``sign`` is ``None``; the sign is applied to each block's gathered copy,
+    so no query row outlives its block. ``ids[c]`` names database row ``c``;
+    query ``r`` skips its own row, ``queries[r]``. At most ``_BLOCK``
+    queries, such as a merge's one- or two-row search, are one block: one
+    float64 product, in the order given, cut whole by :func:`select_rows`
+    and returned as it is. A BLAS may round a product of one query row
+    differently from one of several, so these similarity bits depend on the
+    block.
 
     More queries, every graph build, are screened block by block into
     arrays allocated once (:func:`_screen_block`): each block is multiplied
@@ -424,9 +433,13 @@ def block_topk(
         raise ArgumentError("k must be at least 1")
     nq = queries.size
     if nq <= _BLOCK:
-        return NeighbourLists(*_cut_block(qr, queries, db, ids, self_pos, k))
-    q_norms = np.sqrt(np.einsum("ij,ij->i", qr, qr))[queries]
-    d_max = np.sqrt(np.einsum("ij,ij->i", db, db).max(initial=0.0))
+        return NeighbourLists(*_cut_block(db, queries, ids, k, sign))
+    # the sign changes no norm, so the queries' norms are their database rows'
+    sq_norms = np.einsum("ij,ij->i", db, db)
+    q_norms = np.sqrt(sq_norms[queries])
+    d_max = np.sqrt(sq_norms.max(initial=0.0))
+    # n floats the blocks need not share their peak with
+    del sq_norms
     screen = _screen_slack(q_norms, d_max, db.shape[1])
     step = _BLOCK
     if screen is not None:
@@ -436,11 +449,11 @@ def block_topk(
     out_sims = np.empty((nq, k))
     for start in range(0, nq, step):
         stop = min(start + step, nq)
-        block = queries[start:stop], db, ids, self_pos[start:stop], k
+        block = db, queries[start:stop], ids, k, sign
         out_ids[start:stop], out_sims[start:stop] = (
-            _cut_block(qr, *block)
+            _cut_block(*block)
             if screen is None
-            else _screen_block(qr, *block, db32, screen[start:stop])
+            else _screen_block(*block, db32, screen[start:stop])
         )
     return NeighbourLists(out_ids, out_sims)
 
@@ -482,29 +495,35 @@ def _screen_slack(q_norms: np.ndarray, d_max: float, dim: int) -> np.ndarray | N
     return 2.0 * (g32 + g64) * d_max * q_norms
 
 
+def _query_block(db: np.ndarray, queries: np.ndarray, sign: np.ndarray | None) -> np.ndarray:
+    """The query rows of ``db[queries]``: the gathered copy, signed in place."""
+    q = db[queries]
+    if sign is not None:
+        q *= sign
+    return q
+
+
 def _cut_block(
-    qr: np.ndarray,
-    queries: np.ndarray,
     db: np.ndarray,
+    queries: np.ndarray,
     ids: np.ndarray,
-    self_pos: np.ndarray,
     k: int,
+    sign: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One block of :func:`block_topk`: one product, each query's own column
     masked, cut by :func:`select_rows`. The block's similarities are freed
     on return, before the next block's product allocates its own."""
-    sims = qr[queries] @ db.T
-    sims[np.arange(queries.size), self_pos] = -INF
+    sims = _query_block(db, queries, sign) @ db.T
+    sims[np.arange(queries.size), queries] = -INF
     return select_rows(sims, ids, k)
 
 
 def _screen_block(
-    qr: np.ndarray,
-    queries: np.ndarray,
     db: np.ndarray,
+    queries: np.ndarray,
     ids: np.ndarray,
-    self_pos: np.ndarray,
     k: int,
+    sign: np.ndarray | None,
     db32: np.ndarray,
     slack: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -516,9 +535,9 @@ def _screen_block(
     gathered rows), whose bits do not depend on which other pairs share
     the call, unlike a row of a matrix product.
     """
-    q = qr[queries]
+    q = _query_block(db, queries, sign)
     sims = q.astype(np.float32) @ db32.T
-    sims[np.arange(queries.size), self_pos] = -INF
+    sims[np.arange(queries.size), queries] = -INF
     rows, cols, _ = _above_threshold(sims, k, slack)
     exact = np.einsum("ij,ij->i", q[rows], db[cols])
     return _cut_ranked(queries.size, k, rows, ids[cols], exact)
@@ -536,7 +555,7 @@ def topk_exact(state: ContractionState, query: int, k: int) -> list[tuple[int, f
     state.check_alive(query)
     n = state.n_alive
     pos = state.slot.item(query)
-    sims = state.packed[:n] @ state.packed_q[pos]
+    sims = state.packed[:n] @ state.query_row(query)
     sims[pos] = -INF
     return ranked(state.order[:n], sims, k)
 
@@ -545,15 +564,15 @@ def topk_batch(state: ContractionState, queries: np.ndarray, k: int) -> Neighbou
     """Exact top-k among alive nodes for many query nodes at once.
 
     Every query must be alive, since only alive nodes have rows, and is
-    never its own neighbour. ``state.slot`` gives each query its row of
-    ``state.packed_q`` and the column it must skip; the queries are
-    multiplied straight against the packed alive rows and ``state.order``
-    names their columns, so no alive-id list is rebuilt and no database row
-    is gathered.
+    never its own neighbour. ``state.slot`` gives each query its packed row,
+    which ``state.query_sign`` turns into its query row, and the column it
+    must skip; the queries are multiplied straight against the packed alive
+    rows and ``state.order`` names their columns, so no alive-id list is
+    rebuilt and no database row is gathered.
     """
     pos = state.slot[np.asarray(queries, dtype=np.int64)]
     n = state.n_alive
-    return block_topk(state.packed_q, pos, state.packed[:n], state.order[:n], pos, k)
+    return block_topk(state.packed[:n], pos, state.order[:n], k, state.query_sign)
 
 
 class NNGraph:
@@ -863,10 +882,9 @@ def incremental_update(
         best_dst = np.array([-1, -1, head_dst], dtype=np.int64)
         best_sim = np.array([-INF, -INF, head_sim])
     else:
-        sims_qm = (
-            state.packed[state.slot.item(m)]
-            @ state.packed_q.take(state.slot.take(q_ids), axis=0).T
-        )
+        # m's query row against the in-neighbours' rows: q_m . d_q has the
+        # terms of q_q . d_m, so each entry has the bits of sim(q, m)
+        sims_qm = state.query_row(m) @ state.packed.take(state.slot.take(q_ids), axis=0).T
         repair = _repair_rows if q_ids.size <= _FEW_ROWS else _repair_block
         best_dst, best_sim, insertions = repair(
             graph, i, j, m, q_ids, sims_qm, (head_dst, head_sim)
@@ -1032,10 +1050,9 @@ def exhaustive_update(
         nbr = graph.nbr.take(q_ids, axis=0)
         sim = graph.sim.take(q_ids, axis=0)
         gone = (nbr == i) | (nbr == j)
-        sims_qm = (
-            state.packed[state.slot.item(m)]
-            @ state.packed_q.take(state.slot.take(q_ids), axis=0).T
-        )
+        # m's query row against the in-neighbours' rows: q_m . d_q has the
+        # terms of q_q . d_m, so each entry has the bits of sim(q, m)
+        sims_qm = state.query_row(m) @ state.packed.take(state.slot.take(q_ids), axis=0).T
         passes = sims_qm > graph.floor.take(q_ids)
         np.putmask(nbr, gone, -1)
         np.putmask(sim, gone, -INF)

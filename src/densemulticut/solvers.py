@@ -201,9 +201,7 @@ def _dense_solve(
         # the packed rows are in id order only until the first contraction,
         # and the index aliases them, so it must not outlive the initial graph
         factory = index_factory or ann_default_build
-        index = factory(
-            state.packed, state.packed_q, params=cfg.ann_params, seed=cfg.seed
-        )
+        index = factory(state.packed, state.query_sign, params=cfg.ann_params, seed=cfg.seed)
         graph, queue = _initial_graph_from_index(state, k, index)
         if index.exact:
             stats["n_exhaustive_searches"] += state.n0
@@ -219,6 +217,9 @@ def _dense_solve(
         if arc is None:
             if not lazy:
                 break
+            # the old graph and queue go before the new ones are allocated,
+            # so the two are never held at once
+            del graph, queue
             graph, queue = build_nn_graph(state, k)
             stats["rebuilds"] += 1
             stats["n_exhaustive_searches"] += state.n_alive

@@ -95,7 +95,7 @@ class TestExactIndex:
         rows = rng.normal(size=(40, 6))
         fm = FeatureMatrix(rows.astype(np.float32))
         state = ContractionState(fm)
-        idx = ExactIndex(state.packed, state.packed_q)
+        idx = ExactIndex(state.packed, state.query_sign)
         lists = idx.self_knn(4)
         for q in range(40):
             want = topk_exact(state, q, 4)
@@ -146,7 +146,7 @@ class TestProximityGraphIndex:
         fm = FeatureMatrix(rows.astype(np.float32))
         fm = fm.with_affinity(0.4, AlphaSign.MINUS)
         state = ContractionState(fm)
-        idx = ProximityGraphIndex(state.packed, state.packed_q, seed=0)
+        idx = ProximityGraphIndex(state.packed, state.query_sign, seed=0)
         approx = idx.self_knn(5)
         hits = total = 0
         rng = np.random.default_rng(0)
@@ -174,10 +174,11 @@ class TestProximityGraphIndex:
         rng = np.random.default_rng(n + k)
         distinct = rng.integers(-3, 4, size=(64, 3)).astype(np.float64)
         db = distinct[rng.integers(0, 64, size=n)]
-        qr = None if queries == "self" else db * np.array([1.0, 1.0, -1.0])
-        want, empty = whole_product_seed(db, db if qr is None else qr, k, AnnParams(), seed=5)
+        sign = None if queries == "self" else np.array([1.0, 1.0, -1.0])
+        qr = db if sign is None else db * sign
+        want, empty = whole_product_seed(db, qr, k, AnnParams(), seed=5)
         assert empty > 0
-        assert ProximityGraphIndex(db, qr, seed=5).self_knn(k) == want
+        assert ProximityGraphIndex(db, sign, seed=5).self_knn(k) == want
 
     def test_self_knn_memory_below_the_assignment_product(self):
         # the build must never hold the whole n x n_anchor float64

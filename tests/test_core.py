@@ -474,11 +474,11 @@ def assert_packed_consistent(state):
     while not np.array_equal(root[root], root):
         root = root[root]
     qr0, db0 = _extended_rows(state.fm)
-    assert (state.packed_q is state.packed) == (qr0 is db0)
+    assert (state.query_sign is None) == (qr0 is db0)
     for u in order.tolist():
         members = np.flatnonzero(root[: state.n0] == u)
         assert np.array_equal(state.packed[state.slot[u]], db0[members].sum(axis=0))
-        assert np.array_equal(state.packed_q[state.slot[u]], qr0[members].sum(axis=0))
+        assert np.array_equal(state.query_row(u), qr0[members].sum(axis=0))
     assert np.array_equal(state.slot[order], np.arange(n))
     assert (state.slot[~state.alive] == -1).all()
 
@@ -503,26 +503,26 @@ class TestPackedRows:
 
     @pytest.mark.parametrize("sign", [AlphaSign.PLUS, AlphaSign.MINUS, AlphaSign.OFF])
     def test_rows_only_of_the_input_nodes(self, sign):
-        # one float64 row per input node, a second one under MINUS, and no
-        # row for the merged ids a solve creates
+        # one float64 row per input node under every sign, no row for the
+        # merged ids a solve creates, and a sign row only under MINUS
         n, d = 9, 3
         state = ContractionState(make_instance(n, d, seed=5, alpha=0.4, sign=sign))
         rows = {
             id(a): a
             for a in vars(state).values()
-            if isinstance(a, np.ndarray) and a.dtype == np.float64
+            if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 2
         }
-        copies = 2 if sign is AlphaSign.MINUS else 1
-        assert sum(a.nbytes for a in rows.values()) == copies * n * state.dim * 8
+        assert sum(a.nbytes for a in rows.values()) == n * state.dim * 8
+        assert (state.query_sign is None) == (sign is not AlphaSign.MINUS)
 
     def test_rejected_contraction_writes_nothing(self):
         state = ContractionState(make_instance(6, 3, seed=4, alpha=0.4, sign=AlphaSign.MINUS))
         m = state.contract(1, 4)
-        before = [a.copy() for a in (state.packed, state.order, state.slot, state.packed_q)]
+        before = [a.copy() for a in (state.packed, state.order, state.slot)]
         for i, j, err in ((2, 2, ArgumentError), (1, 3, StateError), (3, 4, StateError)):
             with pytest.raises(err):
                 state.contract(i, j)
-        after = (state.packed, state.order, state.slot, state.packed_q)
+        after = (state.packed, state.order, state.slot)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
         assert state.n_alive == 5 and state.alive[m]
         assert_packed_consistent(state)

@@ -72,11 +72,19 @@ class TestBlockTopk:
         assert_matches_brute(state, np.arange(4), 5, lists)
 
 
-def brute_block(qr, queries, db, ids, self_pos, k):
-    """Reference for ``knn.block_topk``: one float64 product, ranked by
-    (-sim, id) row by row."""
+def minus_sign(dim):
+    """The sign row of MINUS rows of ``dim`` entries: the last one negated."""
+    sign = np.ones(dim)
+    sign[-1] = -1.0
+    return sign
+
+
+def brute_block(qr, queries, db, ids, k):
+    """Reference for ``knn.block_topk``: one float64 product of separate
+    query rows ``qr[queries]`` with ``db``, ranked by (-sim, id) row by
+    row, each query skipping its own row ``queries[r]``."""
     sims = qr[queries] @ db.T
-    sims[np.arange(queries.size), self_pos] = -np.inf
+    sims[np.arange(queries.size), queries] = -np.inf
     order = np.lexsort((np.broadcast_to(ids, sims.shape), -sims))[:, :k]
     return ids[order], np.take_along_axis(sims, order, axis=1)
 
@@ -109,12 +117,13 @@ class TestScreenedSearch:
     @pytest.mark.parametrize("d", [3, 33])
     def test_spread_norms_match_brute_force(self, k, d):
         db, ids, queries = spread_rows(700, d, seed=d)
-        qr = db.copy()
-        qr[:, -1] *= -1.0  # query rows differ from database rows, as under MINUS
+        # query rows differ from database rows, as under MINUS
+        sign = minus_sign(d)
+        qr = db * sign
         with mock.patch.object(knn, "_screen_block", wraps=knn._screen_block) as spy:
-            got = knn.block_topk(qr, queries, db, ids, queries, k)
+            got = knn.block_topk(db, queries, ids, k, sign)
         assert spy.call_count == 2
-        want_ids, want_sims = brute_block(qr, queries, db, ids, queries, k)
+        want_ids, want_sims = brute_block(qr, queries, db, ids, k)
         np.testing.assert_array_equal(got.ids, want_ids)
         assert_sims_close(qr, queries, db, got.sims, want_sims)
 
@@ -125,23 +134,25 @@ class TestScreenedSearch:
         # 2^24 + 0.75 + 2^-26 against -2^24, so its float32 product reads
         # 0 or 0.25, far below A's exact 1: B ranks k-th, but only a slack
         # wider than float32 rounding gathers it. A and C tie in float32.
+        # The queries are rows of the database too, (s, s, s, 4s) under the
+        # MINUS sign, so their query rows are (s, s, s, -4s) and any two of
+        # them score -13·s·s', below every other row.
         big = 2.0**24
-        tops = np.array([[0.0, 0.0, 3.0 - 0.25 * t] for t in range(k - 1)]).reshape(-1, 3)
+        tops = np.array([[0.0, 0.0, 3.0 - 0.25 * t, 0.0] for t in range(k - 1)]).reshape(-1, 4)
         specials = [
-            [big + 0.75 + 2.0**-26, -big, 0.25],
-            [0.0, 0.0, 1.0],
-            [0.0, 0.0, 1.0 - 2.0**-26],
+            [big + 0.75 + 2.0**-26, -big, 0.25, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0 - 2.0**-26, 0.0],
         ]
         rng = np.random.default_rng(3)
-        fillers = np.c_[np.zeros((600, 2)), rng.uniform(-0.5, 0.5, 600)]
-        db = np.concatenate([tops, specials, fillers])
+        fillers = np.c_[np.zeros((600, 2)), rng.uniform(-0.5, 0.5, 600), np.zeros(600)]
         nq = knn._BLOCK + 100
         # power-of-two scales keep every product exact in both precisions
-        qr = np.ones((nq, 3)) * 2.0 ** (np.arange(nq) % 4)[:, None]
-        ids = np.random.default_rng(4).permutation(db.shape[0])
-        self_pos = db.shape[0] - 1 - np.arange(nq) % 50
-        got = knn.block_topk(qr, np.arange(nq), db, ids, self_pos, k)
         scale = 2.0 ** (np.arange(nq) % 4)[:, None]
+        db = np.concatenate([tops, specials, fillers, np.array([1.0, 1.0, 1.0, 4.0]) * scale])
+        ids = np.random.default_rng(4).permutation(db.shape[0])
+        queries = db.shape[0] - nq + np.arange(nq)
+        got = knn.block_topk(db, queries, ids, k, minus_sign(4))
         want = np.array([3.0 - 0.25 * t for t in range(k - 1)] + [1.0 + 2.0**-26])
         np.testing.assert_array_equal(got.ids, np.broadcast_to(ids[:k], (nq, k)))
         np.testing.assert_array_equal(got.sims, want * scale)
@@ -151,7 +162,7 @@ class TestScreenedSearch:
         runs = []
         for block in (64, 256):
             with mock.patch.object(knn, "_BLOCK", block):
-                runs.append(knn.block_topk(db, queries, db, ids, queries, 5))
+                runs.append(knn.block_topk(db, queries, ids, 5))
         np.testing.assert_array_equal(runs[0].ids, runs[1].ids)
         np.testing.assert_array_equal(runs[0].sims.view(np.int64), runs[1].sims.view(np.int64))
 
@@ -163,12 +174,12 @@ class TestScreenedSearch:
         if rows == "ties":
             fm = integer_state(700, 3, seed=8).fm.with_affinity(0.5, AlphaSign.MINUS)
             state = ContractionState(fm)
-            qr, db, ids = state.packed_q, state.packed, state.order
+            db, ids, sign = state.packed, state.order, state.query_sign
             queries = np.random.default_rng(9).permutation(700)[: knn._BLOCK + 88]
         else:
             db, ids, queries = spread_rows(700, 33, seed=9)
-            qr = db.copy()
-            qr[:, -1] *= -1.0
+            sign = minus_sign(33)
+        qr = db * sign
         # cell budgets that give blocks of _BLOCK rows, of 100 rows and of
         # the floor
         sizes, runs = [], []
@@ -177,20 +188,20 @@ class TestScreenedSearch:
                 mock.patch.object(knn, "_SCREEN_CELLS", cells),
                 mock.patch.object(knn, "_screen_block", wraps=knn._screen_block) as spy,
             ):
-                runs.append(knn.block_topk(qr, queries, db, ids, queries, k))
+                runs.append(knn.block_topk(db, queries, ids, k, sign))
             sizes.append(max(c.args[1].size for c in spy.call_args_list))
         assert sizes == [knn._BLOCK, 100, knn._SCREEN_FLOOR]
         for run in runs[1:]:
             np.testing.assert_array_equal(run.ids, runs[0].ids)
             np.testing.assert_array_equal(run.sims.view(np.int64), runs[0].sims.view(np.int64))
-        want_ids, want_sims = brute_block(qr, queries, db, ids, queries, k)
+        want_ids, want_sims = brute_block(qr, queries, db, ids, k)
         np.testing.assert_array_equal(runs[0].ids, want_ids)
         assert_sims_close(qr, queries, db, runs[0].sims, want_sims)
 
     def test_a_pair_rescores_alone_as_in_a_batch(self):
         db, ids, queries = spread_rows(700, 129, seed=6)
-        got = knn.block_topk(db, queries, db, ids, queries, 5)
-        reverse = knn.block_topk(db, queries[::-1], db, ids, queries[::-1], 5)
+        got = knn.block_topk(db, queries, ids, 5)
+        reverse = knn.block_topk(db, queries[::-1], ids, 5)
         np.testing.assert_array_equal(reverse.sims[::-1].view(np.int64), got.sims.view(np.int64))
         pos = np.argsort(ids)
         for row in range(0, queries.size, 37):
@@ -207,9 +218,9 @@ class TestScreenedSearch:
         ids = np.arange(700)
         queries = ids[: knn._BLOCK + 50]
         with mock.patch.object(knn, "_screen_block", wraps=knn._screen_block) as spy:
-            got = knn.block_topk(db, queries, db, ids, queries, 5)
+            got = knn.block_topk(db, queries, ids, 5)
         assert spy.call_count == 0
-        want_ids, want_sims = brute_block(db, queries, db, ids, queries, 5)
+        want_ids, want_sims = brute_block(db, queries, db, ids, 5)
         np.testing.assert_array_equal(got.ids, want_ids)
         assert_sims_close(db, queries, db, got.sims, want_sims)
 

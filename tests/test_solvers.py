@@ -1,3 +1,4 @@
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -190,7 +191,7 @@ class TestDenseAppLaec:
             app = dense_app_laec(
                 fm,
                 cfg_for("dapplaec", sign),
-                index_factory=lambda db, qr, params, seed: ExactIndex(db, qr),
+                index_factory=lambda db, sign, params, seed: ExactIndex(db, sign),
             )
             assert pair_trace(lazy) == pair_trace(app)
             assert app.partition.objective == lazy.partition.objective
@@ -315,6 +316,45 @@ class TestQueueEntries:
             # a stale refresh passes the alive mask; the checker's do not
             assert all(len(c.args) == 3 and not c.kwargs for c in refresh.call_args_list)
             assert refresh.call_count - picks == 1 + res.stats["rebuilds"]
+
+
+class TestLazyRebuild:
+    # a lazy rebuild drops the previous graph and queue before it builds
+    # the new ones, so the solve never holds two graphs at once
+    @pytest.mark.parametrize("alg", ["dlaec", "dapplaec"])
+    def test_previous_graph_and_queue_freed_before_each_rebuild(self, alg):
+        held: list[weakref.ref] = []
+        rebuilds = 0
+
+        def holding(build):
+            def wrapped(*args):
+                built = build(*args)
+                held.extend(weakref.ref(obj) for obj in built)
+                return built
+
+            return wrapped
+
+        build_graph = holding(solvers.build_nn_graph)
+
+        def checked_build(state, k):
+            assert all(ref() is None for ref in held)
+            return build_graph(state, k)
+
+        for fm, sign, alpha in queue_instances():
+            held.clear()
+            cfg = SolverConfig(algorithm=alg, alpha=alpha, alpha_sign=sign)
+            with (
+                mock.patch.object(solvers, "build_nn_graph", checked_build),
+                mock.patch.object(
+                    solvers, "_initial_graph_from_index",
+                    holding(solvers._initial_graph_from_index),
+                ),
+            ):
+                res = solve(fm, cfg)
+            # the initial graph and queue, and those of every rebuild
+            assert len(held) == 2 * (1 + res.stats["rebuilds"])
+            rebuilds += res.stats["rebuilds"]
+        assert rebuilds > 0
 
 
 class TestSolveDispatch:

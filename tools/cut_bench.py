@@ -7,6 +7,7 @@ Usage, from the repository root::
     python3 tools/cut_bench.py
     python3 tools/cut_bench.py --build
     python3 tools/cut_bench.py --ann
+    python3 tools/cut_bench.py --state
 
 For every block of r rows and c columns, r in {1, 2, 3, 4, 8, 512} and c in
 {40, 400, 1000, 8000}, every k in {2, 5}, and two kinds of values, it
@@ -60,6 +61,17 @@ more such call, and its bound n·k·16 + ``_BLOCK``·n_anchor·8 +
 and the anchor similarities with one block of their ranking. The exit code
 is 1 when any peak exceeds its bound, else 0.
 
+``--state`` instead checks the memory of the solver's workspace. For each
+benchmark instance (seed 7, the benchmark's affinity) and for
+``synth_rows(n, 32, 20, 0.1, seed=1)`` at n in {20000, 50000} under the
+same affinity, it prints the ``tracemalloc`` peak of building
+``ContractionState`` and its bound n·dim·8 + 42·n + 64 KiB bytes: one
+float64 row per node under every affinity sign; the int64 ``order`` (n
+entries), ``slot`` and forest ``parent`` (2·n − 1 each) and the forest's
+boolean ``alive`` (2·n − 1), 42·n − 17 bytes in all; and 64 KiB for array
+headers and the sign row. A second array of query rows would exceed it by
+n·dim·8. The exit code is 1 when any peak exceeds its bound, else 0.
+
 BLAS runs on the benchmark's thread count, as in ``tools/trace_digest.py``.
 """
 
@@ -85,6 +97,8 @@ BUILD_REPEATS = 3
 BUILD_SIZES = (20000, 50000)
 ANN_K = 5
 ANN_SIZES = (20000, 50000, 100000)
+# Bytes a built ContractionState may hold beyond its rows and index arrays.
+STATE_SLACK = 64 << 10
 
 
 def per_call_us(cut, sims, ids, k) -> float:
@@ -148,8 +162,7 @@ def build_main() -> int:
         n = state.n_alive
         parts = [
             knn.block_topk(
-                state.packed_q, pos[a : a + knn._BLOCK], state.packed[:n],
-                state.order[:n], pos[a : a + knn._BLOCK], k,
+                state.packed[:n], pos[a : a + knn._BLOCK], state.order[:n], k, state.query_sign
             )
             for a in range(0, queries.size, knn._BLOCK)
         ]
@@ -193,8 +206,8 @@ def build_main() -> int:
             if reference:
                 float64_s = f"{median_s(lambda: float64_blocks(state, queries, k)):.3f}"
                 want_ids, want_sims = float64_blocks(state, queries, k)
-                q = state.packed_q[state.slot[queries]]
                 d = state.packed[: state.n_alive]
+                q = d[state.slot[queries]]
                 scale = np.sqrt(np.einsum("ij,ij->i", q, q) * np.einsum("ij,ij->i", d, d).max())
                 ok = np.array_equal(got.ids, want_ids) and bool(
                     (np.abs(got.sims - want_sims) <= 1e-12 * scale[:, None]).all()
@@ -213,7 +226,7 @@ def build_main() -> int:
 
 
 def ann_rows():
-    """(label, database rows, query rows) for every benchmark instance at
+    """(label, database rows, sign row) for every benchmark instance at
     ``BUILD_SEED`` and for the synthetic rows of ``ANN_SIZES``."""
     from densemulticut.core import ContractionState
     from solverbench import bench
@@ -224,7 +237,7 @@ def ann_rows():
     for workload in bench.WORKLOADS.values():
         fm = workload.regime.instance(BUILD_SEED).with_affinity(bench.ALPHA, bench.SIGN)
         state = ContractionState(fm)
-        yield f"{workload.name} n {fm.n}", state.packed, state.packed_q
+        yield f"{workload.name} n {fm.n}", state.packed, state.query_sign
     for n in ANN_SIZES:
         rows = synth_rows(n, 32, 20, 0.1, seed=1)
         yield f"synth_rows n {n}", rows, None
@@ -241,9 +254,9 @@ def ann_main() -> int:
     print(f"_BLOCK = {knn._BLOCK}, k = {ANN_K}, seed {BUILD_SEED}")
     print(f"{'rows':>28} {'anchors':>7} {'build_s':>8} {'peak_mb':>8} {'bound_mb':>8} result")
     over = 0
-    for label, db, qr in ann_rows():
+    for label, db, sign in ann_rows():
         def run():
-            return ann_default_build(db, qr).self_knn(ANN_K)
+            return ann_default_build(db, sign).self_knn(ANN_K)
 
         build_s = statistics.median(timeit.repeat(run, number=1, repeat=BUILD_REPEATS))
         tracemalloc.start()
@@ -263,12 +276,55 @@ def ann_main() -> int:
     return 1 if over else 0
 
 
+def state_main() -> int:
+    import tracemalloc
+
+    import numpy as np
+
+    from densemulticut.core import ContractionState, FeatureMatrix
+    from solverbench import bench
+
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_ann import synth_rows
+
+    instances = [(w.name, w.regime.instance(BUILD_SEED)) for w in bench.WORKLOADS.values()]
+    instances += [
+        ("synth_rows", FeatureMatrix(synth_rows(n, 32, 20, 0.1, seed=1).astype(np.float32)))
+        for n in BUILD_SIZES
+    ]
+    print(f"seed {BUILD_SEED}, sign {bench.SIGN.value}, slack {STATE_SLACK} bytes")
+    print(f"{'instance':>28} {'dim':>4} {'rows_mb':>8} {'peak_mb':>8} {'bound_mb':>8} result")
+    over = 0
+    for name, fm in instances:
+        label = f"{name} n {fm.n}"
+        fm = fm.with_affinity(bench.ALPHA, bench.SIGN)
+        tracemalloc.start()
+        try:
+            state = ContractionState(fm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, dim = fm.n, state.dim
+        del state
+        bound = n * dim * 8 + 42 * n + STATE_SLACK
+        over += peak > bound
+        print(
+            f"{label:>28} {dim:>4} {n * dim * 8 / 2**20:>8.2f} {peak / 2**20:>8.2f} "
+            f"{bound / 2**20:>8.2f} {'within' if peak <= bound else 'OVER'}",
+            flush=True,
+        )
+    print("every peak is within its bound" if not over else f"{over} peaks over their bound")
+    return 1 if over else 0
+
+
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--build", action="store_true",
                    help="time the graph builds' screened search instead of the cuts")
     p.add_argument("--ann", action="store_true",
                    help="time the ANN index build and check its memory peak instead")
+    p.add_argument("--state", action="store_true",
+                   help="check the memory peak of building the contraction state instead")
     args = p.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = BLAS_THREADS
@@ -277,6 +333,8 @@ def main(argv: list[str]) -> int:
         return build_main()
     if args.ann:
         return ann_main()
+    if args.state:
+        return state_main()
     # numpy loads only after the BLAS thread count is pinned
     import numpy as np
 
@@ -317,7 +375,7 @@ def main(argv: list[str]) -> int:
                     few_us, lex_us, groups_us = (per_call_us(cut, sims, ids, k) for cut in cuts)
                     taken = (
                         "few" if k < c and (r == 1 or r * c <= knn._FEW_CELLS)
-                        else "sorted" if k >= c // 4
+                        else "sorted" if k >= c // 8
                         else "groups"
                     )
                     print(

@@ -99,8 +99,8 @@ def suite_solves():
     from densemulticut.ann import ExactIndex
     from densemulticut.solvers import SolverConfig, dense_app_laec, solve
 
-    def exact(db, qr, params, seed):
-        return ExactIndex(db, qr)
+    def exact(db, sign, params, seed):
+        return ExactIndex(db, sign)
 
     for idx in range(SUITE_SIZE):
         fm, sign = clustered_instance(idx)
