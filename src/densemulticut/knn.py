@@ -3,50 +3,45 @@
 The graph stores every node's outgoing arcs in two padded arrays, ``nbr``
 (target ids, ``-1`` pad) and ``sim`` (cached similarities, ``-inf`` pad),
 one row of ``k`` slots per node id, plus the exact reverse-adjacency index
-and, per row, the floor its last exhaustive search left: the k-th
-similarity it found, or ``-inf`` when it listed every candidate. The
-candidate queue keeps one entry per node, the best arc of its row, and
-the contraction loop takes the argmax over those entries. After
-contracting an arc the graph is repaired in one of two ways.
+and, per row, its floor. A row written by an exhaustive search has the
+k-th similarity that search found as its floor, or ``-inf`` when it listed
+every candidate; any other row, and every empty or unused id, has the
+floor ``+inf``. The candidate queue keeps one entry per node, the best arc
+of its row, and the contraction loop takes the argmax over those entries.
 
-The exact repair, for ``dgaec`` and ``dgaec-inc``, searches the merged
-node. Every node that pointed at a parent drops those arcs and takes the
-merged node in its first freed slot when their similarity is strictly
-above the row's floor; it is searched again only when no arc is left.
-Every pair of alive nodes stays covered by the row of the node searched
-later, so the best arc over all rows is the best pair over all alive
-nodes, as the sparse greedy baseline finds it. The repair works on its
-in-neighbour block with a fixed handful of whole-block numpy calls, none
-when the merged node has no in-neighbours, and makes its searches in one
-call to :func:`topk_batch`; in most merges the merged node is the only
-search.
+After contracting an arc the graph is repaired in one loop: the parents'
+rows are emptied, every row that pointed at a parent drops those arcs and
+may take the merged node in its first freed slot, and the queue entries of
+the changed rows are computed from what the repair holds, so the queue
+takes them without reading the graph again. The repairs differ only in
+which rows take the merged node and which rows are searched:
 
-The lazy repair, for ``dlaec`` and ``dapplaec``, makes no search: the
-merged node's neighbours are filtered from the union of its parents'
-neighbour lists via an upper bound on similarities to all other nodes,
-and a node that pointed at a parent takes the merged node when it beats
-the row's weakest surviving arc. A row left empty stays empty until the
-solver's next rebuild. Each repair also computes the new queue entry of
-every row it changed, from the block, the merged node's ranked list and
-the search results it already holds, so the queue takes them without
-reading the graph again.
+- The exact repair, for ``dgaec`` and ``dgaec-inc``, gives a row the
+  merged node strictly above the row's floor, and searches the merged node
+  and the rows left with no arc in one call to :func:`topk_batch`. Every
+  pair of alive nodes stays covered by the row of the node searched later,
+  so the best arc over all rows is the best pair over all alive nodes, as
+  the sparse greedy baseline finds it.
+- The lazy repair, for ``dlaec`` and ``dapplaec``, searches nothing: the
+  merged node's neighbours are filtered from its parents' lists by an
+  upper bound on its similarity to every other node, and a row takes the
+  merged node when it beats the row's weakest surviving arc. A row left
+  empty stays empty until the solver's next rebuild.
 
-The lazy repair picks how it repairs its block from the block's row
-count. Up to ``_FEW_ROWS`` rows, the in-neighbour count of most merges on
-unclustered rows, a Python loop reads each row as lists and writes back
-only the cells it changed; numpy's fixed cost per call would outweigh its
-speed per row there. Larger blocks, the hubs of clustered rows, are
-repaired with numpy as one block. Both paths take every similarity to the
-merged node from the same single matrix product over the sorted rows, so
-they write the same bits: a separate dot product per row can round
-differently from a row of that product.
+Both repair the in-neighbour block with :func:`_repair_block`, a handful
+of whole-block numpy calls, except the lazy repair's blocks of at most
+``_FEW_ROWS`` rows, most merges on unclustered rows, where numpy's fixed
+cost per call outweighs its speed per row: a Python loop repairs those row
+by row. Both paths take every similarity to the merged node from one
+matrix product over the sorted rows, so they write the same bits; a
+separate dot product per row can round differently.
 
 Every ranking breaks similarity ties toward the smaller node id, and a
 selection cut to ``k`` first keeps every candidate tied with the k-th
 value, so ties at the cut resolve by id as well. One helper,
 :func:`select_rows`, does every cut of a block of similarities: the exact
-searches, the approximate index's candidate lists and long single lists.
-It picks the cut from the block's shape. At k = 1 the cut is a row maximum
+searches and the approximate index's candidate lists. It picks the cut
+from the block's shape. At k = 1 the cut is a row maximum
 plus the smallest id among the entries equal to it. A single row, such as
 the merged node's search, and a block of at most ``_FEW_CELLS`` entries,
 such as the two-row searches of a merge's repair, take each row's exact
@@ -55,7 +50,9 @@ whose k is an eighth of its columns or more is ranked whole by one stable
 sort. Any other block takes the maxima of strided column groups first; the
 k-th largest group maximum is a lower bound on the k-th value, so only the
 few entries at or above it are gathered and ranked. Every cut is exact and
-all give the same result.
+all give the same result. :func:`topk_exact`, the oracle of the tests and
+of the benchmark's recall check, ranks its one row by a plain lexsort
+instead, independent of the cuts.
 
 The contraction state holds the alive nodes' database rows only, packed in
 slots (``ContractionState.packed``), and every read of a row goes through
@@ -92,7 +89,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import ContractionState
-from .errors import ArgumentError
+from .errors import ArgumentError, StateError
 
 INF = float("inf")
 
@@ -112,9 +109,6 @@ _FEW_CELLS = 4000
 # Most gathered entries the partition cut ranks with a Python sort; more,
 # as ties or many rows gather, are ranked by the group-max cut's lexsort.
 _FEW_ENTRIES = 32
-# Lists of at most this many candidates are ranked by a plain sort, which
-# keeps topk_exact, the tests' oracle, independent of the cuts.
-_SMALL = 32
 # In-neighbour blocks of at most this many rows are repaired by a Python
 # loop over the rows, larger ones by numpy over the block: up to it numpy's
 # fixed cost per call outweighs its speed per row, and from 14 or 15 rows
@@ -125,17 +119,6 @@ _FEW_ROWS = 13
 def _rank_key(arc: tuple[int, float]) -> tuple[float, int]:
     """Sort key of an ``(id, sim)`` pair: descending sim, ties by smaller id."""
     return -arc[1], arc[0]
-
-
-def ranked(ids: np.ndarray, sims: np.ndarray, k: int) -> list[tuple[int, float]]:
-    """Top-k of (ids, sims) sorted by descending sim, ties by smaller id;
-    ``-inf`` entries never rank."""
-    if ids.size <= _SMALL:
-        arcs = sorted(zip(ids.tolist(), sims.tolist()), key=_rank_key)[:k]
-        while arcs and arcs[-1][1] == -INF:
-            arcs.pop()
-        return arcs
-    return NeighbourLists(*select_rows(sims[None, :], ids, k))[0]
 
 
 def select_rows(
@@ -548,29 +531,37 @@ def topk_exact(state: ContractionState, query: int, k: int) -> list[tuple[int, f
 
     Returns fewer than ``k`` entries when fewer candidates exist. Ties break
     toward the smaller node id. The query row is multiplied against the
-    packed alive rows, its own similarity set to ``-inf``.
+    packed alive rows, its own similarity set to ``-inf``, and ranked by
+    one lexsort, not by :func:`select_rows`, so that this oracle stays
+    independent of the cuts.
     """
     if k < 1:
         raise ArgumentError("k must be at least 1")
     state.check_alive(query)
     n = state.n_alive
-    pos = state.slot.item(query)
+    ids = state.order[:n]
     sims = state.packed[:n] @ state.query_row(query)
-    sims[pos] = -INF
-    return ranked(state.order[:n], sims, k)
+    sims[state.slot.item(query)] = -INF
+    top = np.lexsort((ids, -sims))[:k]
+    top = top[sims[top] > -INF]
+    return list(zip(ids[top].tolist(), sims[top].tolist()))
 
 
 def topk_batch(state: ContractionState, queries: np.ndarray, k: int) -> NeighbourLists:
     """Exact top-k among alive nodes for many query nodes at once.
 
     Every query must be alive, since only alive nodes have rows, and is
-    never its own neighbour. ``state.slot`` gives each query its packed row,
-    which ``state.query_sign`` turns into its query row, and the column it
-    must skip; the queries are multiplied straight against the packed alive
+    never its own neighbour; a dead query raises :class:`StateError`.
+    ``state.slot`` gives each query its packed row, which
+    ``state.query_sign`` turns into its query row, and the column it must
+    skip; the queries are multiplied straight against the packed alive
     rows and ``state.order`` names their columns, so no alive-id list is
     rebuilt and no database row is gathered.
     """
-    pos = state.slot[np.asarray(queries, dtype=np.int64)]
+    queries = np.asarray(queries, dtype=np.int64)
+    pos = state.slot[queries]
+    if pos.min(initial=0) < 0:
+        raise StateError(f"node {queries[pos < 0][0]} is not alive")
     n = state.n_alive
     return block_topk(state.packed[:n], pos, state.order[:n], k, state.query_sign)
 
@@ -582,13 +573,15 @@ class NNGraph:
     similarities, ``-inf`` pad) holds u's at most ``k`` outgoing arcs in
     slot order; removed arcs leave holes that later arcs may fill.
     ``in_index`` maps a node to the set of nodes that point at it.
-    ``full_list[u]`` records whether u's list was produced by an exhaustive
-    search; the contraction bound falls back to a +inf sentinel for short
-    lists of other provenance. ``floor[u]`` is the k-th similarity of u's
-    last exhaustive search, ``-inf`` when that search listed every
-    candidate: every node it did not list ranks at or below it, and the
-    exact repair gives u a merged node only strictly above it. Lazy and
-    approximate rows never read it. ``capacity`` rows are allocated up
+
+    ``floor[u]`` records where u's row came from. A row written by an
+    exhaustive search has the k-th similarity that search found, ``-inf``
+    when it listed every candidate: every node it did not list ranks at or
+    below it, every arc of the row stays at or above it, and the exact
+    repair gives u a merged node only strictly above it. Any other row,
+    filled lazily or from an approximate index, and every empty or unused
+    id, has ``+inf``; the contraction bound gives up (``+inf``) on such a
+    row when it is shorter than k. ``capacity`` rows are allocated up
     front, one per node id the solve can create.
     """
 
@@ -598,8 +591,7 @@ class NNGraph:
         self.k = k
         self.nbr = np.full((capacity, k), -1, dtype=np.int64)
         self.sim = np.full((capacity, k), -INF)
-        self.full_list = np.zeros(capacity, dtype=bool)
-        self.floor = np.full(capacity, -INF)
+        self.floor = np.full(capacity, INF)
         self.in_index: dict[int, set[int]] = {}
 
     @property
@@ -609,37 +601,32 @@ class NNGraph:
     def arcs(self, u: int) -> list[tuple[int, float]]:
         return [(t, s) for t, s in zip(self.nbr[u].tolist(), self.sim[u].tolist()) if t >= 0]
 
-    def targets(self, u: int) -> list[int]:
-        return [t for t, _ in self.arcs(u)]
-
     def _clear_row(self, u: int) -> list[tuple[int, float]]:
-        """Empty u's row; returns the arcs it held."""
-        arcs = [(t, s) for t, s in zip(self.nbr[u].tolist(), self.sim[u].tolist()) if t >= 0]
+        """Empty u's row and reset its floor to ``+inf``; returns the arcs
+        it held."""
+        arcs = self.arcs(u)
         if arcs:
             for t, _ in arcs:
                 self.in_index[t].discard(u)
             self.nbr[u] = -1
             self.sim[u] = -INF
-        self.full_list[u] = False
+        self.floor[u] = INF
         return arcs
 
     def set_rows(
         self, rows: np.ndarray, ids: np.ndarray, sims: np.ndarray, *, from_full: bool
     ) -> None:
-        """Replace the arcs of every node in ``rows`` wholesale.
+        """Write the arcs of every node in ``rows``, whose rows must be
+        empty, and list each node in the reverse index of every arc's end.
 
         ``ids`` and ``sims`` are padded ``(len(rows), w)`` arrays, ``w <= k``.
         Rows ``from_full`` an exhaustive search have ``w = k`` and take their
-        last column as their floor.
+        last column as their floor; other rows take ``+inf``.
         """
-        for u in rows[(self.nbr[rows] >= 0).any(axis=1)].tolist():
-            self._clear_row(u)
         w = ids.shape[1]
         self.nbr[rows, :w] = ids
         self.sim[rows, :w] = sims
-        self.full_list[rows] = from_full
-        if from_full:
-            self.floor[rows] = sims[:, -1]
+        self.floor[rows] = sims[:, -1] if from_full else INF
         for u, row in zip(rows.tolist(), ids.tolist()):
             for t in row:
                 if t >= 0:
@@ -660,11 +647,13 @@ class NNGraph:
         transpose: dict[int, set[int]] = {}
         for u in range(self.capacity):
             arcs = self.arcs(u)
+            floor = self.floor[u]
             assert not (arcs and not state.alive[u]), f"dead source {u} still has arcs"
+            assert state.alive[u] or floor == INF, f"dead row {u} has a floor"
             assert len(arcs) <= self.k, "row longer than k"
             seen = set()
             for t, s in arcs:
-                assert not (self.full_list[u] and s < self.floor[u]), "arc below floor"
+                assert floor == INF or s >= floor, "arc below floor"
                 assert t != u, "self arc"
                 assert state.alive[t], f"arc to dead node {t}"
                 assert t not in seen, "duplicate arc"
@@ -790,30 +779,28 @@ def build_nn_graph(state: ContractionState, k: int) -> tuple[NNGraph, CandidateQ
         lists = topk_batch(state, alive, k)
         graph.set_rows(alive, lists.ids, lists.sims, from_full=True)
     else:
-        graph.full_list[alive] = True
+        # a lone node's search lists every candidate, none
+        graph.floor[alive] = -INF
     queue.refresh(graph, alive)
     return graph, queue
 
 
-def contraction_bound(graph: NNGraph, i: int, j: int) -> float:
-    """Upper bound on the similarity between the merge of (i, j) and any
+def _bound(k: int, *rows: tuple[list[tuple[int, float]], float]) -> float:
+    """Upper bound on the similarity between the merge of two nodes and any
     node outside the union of their neighbour lists, which filters the
-    merged node's list in the lazy repair.
+    merged node's list in the lazy repair; each of ``rows`` is one
+    parent's arcs and floor.
 
-    Uses the smallest cached similarity of each endpoint's list. Lists that
-    are shorter than k and were not produced by exhaustive search cannot
-    certify the bound, so the +inf sentinel is returned. The bound holds
-    only while each list is its node's exact top k, which lazy rows do not
-    guarantee once a merge has passed them by; the exact repair relies on
-    row floors instead.
+    Uses the smallest cached similarity of each parent's list. Lists that
+    are shorter than k and were not written by an exhaustive search (floor
+    ``+inf``) cannot certify the bound, so the +inf sentinel is returned.
+    The bound holds only while each list is its node's exact top k, which
+    lazy rows do not guarantee once a merge has passed them by; the exact
+    repair relies on row floors instead.
     """
-    return _bound(graph.k, *((graph.arcs(u), graph.full_list[u]) for u in (i, j)))
-
-
-def _bound(k: int, *rows: tuple[list[tuple[int, float]], bool]) -> float:
     total = 0.0
-    for arcs, from_full in rows:
-        if not arcs or (len(arcs) < k and not from_full):
+    for arcs, floor in rows:
+        if not arcs or (len(arcs) < k and floor == INF):
             return INF
         total += min(s for _, s in arcs)
     return total
@@ -843,29 +830,28 @@ def incremental_update(
     ``dlaec`` and ``dapplaec``: no search.
 
     The merged node's arcs are its parents' combined neighbour lists
-    filtered by the contraction bound, possibly none. Nodes that listed i
-    or j keep their surviving arcs and receive an arc to ``m`` when it
-    beats their weakest surviving one; a row left empty stays empty until
-    the solver's next rebuild. The batch carries every changed row's new
-    queue entry, taken from the repaired block or m's ranked list. Returns
-    (the batch, 0 searches), the shape :func:`exhaustive_update` returns.
+    filtered by the contraction bound (:func:`_bound`), possibly none, and
+    its floor stays ``+inf``. Nodes that listed i or j keep their surviving
+    arcs and receive an arc to ``m`` when it beats their weakest surviving
+    one; a row left empty stays empty until the solver's next rebuild. The
+    batch carries every changed row's new queue entry, taken from the
+    repaired block or m's ranked list. Returns (the batch, 0 searches), the
+    shape :func:`exhaustive_update` returns.
 
-    The in-neighbour rows are repaired by a Python loop over the rows when
-    there are at most ``_FEW_ROWS`` of them, where numpy's fixed cost per
-    call outweighs its speed per row, and as one numpy block otherwise
+    Blocks of at most ``_FEW_ROWS`` in-neighbour rows, where numpy's fixed
+    cost per call outweighs its speed per row, are repaired by a Python
+    loop (:func:`_repair_rows`), larger ones by :func:`_repair_block`
     (``tools/repair_bench.py``). Both take every sim(q, m) from one matrix
-    product over the sorted rows: a separate dot per row can round
-    differently, which would move similarity bits. The two paths leave the
-    same graph and batch.
+    product over the sorted rows and leave the same graph and batch.
     """
     state.check_alive(m)
     k = graph.k
-    full = (graph.full_list.item(i), graph.full_list.item(j))
+    floors = graph.floor.item(i), graph.floor.item(j)
     arcs_i, arcs_j = graph._clear_row(i), graph._clear_row(j)
     rows = _in_neighbours(graph, i, j, m)
     q_ids = rows[3:]
 
-    bound = _bound(k, (arcs_i, full[0]), (arcs_j, full[1]))
+    bound = _bound(k, (arcs_i, floors[0]), (arcs_j, floors[1]))
     alive = state.alive
     cand = sorted({t for t, _ in chain(arcs_i, arcs_j) if alive.item(t)})
     merged_arcs: list[tuple[int, float]] = []
@@ -873,22 +859,19 @@ def incremental_update(
         sims = state.sims_to(m, cand).tolist()
         passing = [(t, s) for t, s in zip(cand, sims) if s >= bound]
         merged_arcs = sorted(passing, key=_rank_key)[:k]
-    # m is a fresh id, so its row is empty and not marked full
+    # m is a fresh id, so its row is empty
     graph.fill_row(m, merged_arcs)
-    head_dst, head_sim = merged_arcs[0] if merged_arcs else (-1, -INF)
-
+    best_dst = np.full(rows.size, -1, dtype=np.int64)
+    best_sim = np.full(rows.size, -INF)
+    if merged_arcs:
+        best_dst[2], best_sim[2] = merged_arcs[0]
     insertions = 0
-    if not q_ids.size:
-        best_dst = np.array([-1, -1, head_dst], dtype=np.int64)
-        best_sim = np.array([-INF, -INF, head_sim])
-    else:
+    if q_ids.size:
         # m's query row against the in-neighbours' rows: q_m . d_q has the
         # terms of q_q . d_m, so each entry has the bits of sim(q, m)
         sims_qm = state.query_row(m) @ state.packed.take(state.slot.take(q_ids), axis=0).T
         repair = _repair_rows if q_ids.size <= _FEW_ROWS else _repair_block
-        best_dst, best_sim, insertions = repair(
-            graph, i, j, m, q_ids, sims_qm, (head_dst, head_sim)
-        )
+        best_dst[3:], best_sim[3:], insertions = repair(graph, i, j, m, q_ids, sims_qm)
     return ArcBatch(rows, best_sim, best_dst, insertions), 0
 
 
@@ -899,24 +882,21 @@ def _repair_rows(
     m: int,
     q_ids: np.ndarray,
     sims_qm: np.ndarray,
-    head: tuple[int, float],
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The in-neighbour rows' repair of :func:`incremental_update`, one row
-    at a time in Python, for a block of few rows.
+) -> tuple[list[int], list[float], int]:
+    """:func:`_repair_block` under the lazy entry rule, one row at a time
+    in Python, for a block of few rows.
 
     Each row drops its arcs to i and j and takes m in its first freed
-    column when ``sims_qm`` is strictly above its weakest surviving arc;
-    the test is strict because m has the largest id, so an unlisted node
-    tied with the weakest arc outranks it. Only the freed cells are written
-    back. A row's queue entry is its first maximal similarity in column
-    order and the smallest id among the arcs equal to it, as
-    :func:`_row_best` computes it. Returns the batch's ids and
-    similarities, with ``head`` (m's entry) after the two empty parent
-    entries, and the count of rows that took m.
+    column when ``sims_qm`` is strictly above its weakest surviving arc.
+    Only the freed cells are written back. A row's queue entry is its first
+    maximal similarity in column order and the smallest id among the arcs
+    equal to it, as :func:`_row_best` computes it. Returns what
+    :func:`_repair_block` returns, the entries as lists.
     """
     k = graph.k
     nbr, sim = graph.nbr, graph.sim
-    best_dst, best_sim = [-1, -1, head[0]], [-INF, -INF, head[1]]
+    best_dst: list[int] = []
+    best_sim: list[float] = []
     added: list[int] = []
     rows = zip(
         q_ids.tolist(),
@@ -953,7 +933,7 @@ def _repair_rows(
             best_dst.append(min(t for t, s in zip(ts, ss) if s == top))
     if added:
         graph.in_index[m] = set(added)
-    return np.array(best_dst, dtype=np.int64), np.array(best_sim), len(added)
+    return best_dst, best_sim, len(added)
 
 
 def _repair_block(
@@ -963,15 +943,19 @@ def _repair_block(
     m: int,
     q_ids: np.ndarray,
     sims_qm: np.ndarray,
-    head: tuple[int, float],
+    floor: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """:func:`_repair_rows` as one numpy block, for many rows.
-
-    The rows are gathered, every arc to i or j dropped, and a row takes m
-    in its first freed column where ``sims_qm`` is strictly above its
-    weakest surviving arc; the block is written back whole and its queue
-    entries come from :func:`_row_best`. Returns what :func:`_repair_rows`
-    returns.
+    """Repair the rows ``q_ids`` that listed i or j after the merge of
+    (i, j) into ``m`` as one numpy block, for both repairs; ``sims_qm``
+    holds sim(q, m). The rows drop every arc to i or j, and a row takes m
+    in its first freed column when it passes the entry rule, the one thing
+    the repairs do differently: the exact repair's ``sims_qm > floor``, one
+    floor per row, or, with ``floor`` ``None``, the lazy repair's
+    ``sims_qm`` strictly above the row's weakest surviving arc (strictly,
+    as m has the largest id). The block is written back whole and m's
+    reverse index lists the rows that took it. Returns the block's queue
+    entries (:func:`_row_best`, one per row) and the count of rows that
+    took m.
     """
     k = graph.k
     nbr = graph.nbr.take(q_ids, axis=0)
@@ -979,10 +963,13 @@ def _repair_block(
     gone = (nbr == i) | (nbr == j)
     np.putmask(nbr, gone, -1)
     np.putmask(sim, gone, -INF)
-    # m beats the weakest surviving arc iff it beats some surviving arc;
-    # pads and freed cells hold -inf, every arc a finite similarity
-    passes = ((sim < sims_qm[:, None]) & (sim > -INF)).any(axis=1)
-    # the flat position of each row's first freed cell, for the rows m takes
+    if floor is None:
+        # m beats the weakest surviving arc iff it beats some surviving arc;
+        # pads and freed cells hold -inf, every arc a finite similarity
+        passes = ((sim < sims_qm[:, None]) & (sim > -INF)).any(axis=1)
+    else:
+        passes = sims_qm > floor
+    # the flat position of each passing row's first freed cell
     cells = (gone.argmax(axis=1) + np.arange(0, q_ids.size * k, k))[passes]
     nbr.put(cells, m)
     sim.put(cells, sims_qm[passes])
@@ -990,12 +977,7 @@ def _repair_block(
         graph.in_index[m] = set(q_ids[passes].tolist())
     graph.nbr[q_ids] = nbr
     graph.sim[q_ids] = sim
-    top_dst, top_sim = _row_best(sim, nbr)
-    return (
-        np.concatenate(([-1, -1, head[0]], top_dst)),
-        np.concatenate(([-INF, -INF, head[1]], top_sim)),
-        cells.size,
-    )
+    return (*_row_best(sim, nbr), cells.size)
 
 
 def exhaustive_update(
@@ -1024,63 +1006,35 @@ def exhaustive_update(
     as every pair it covers, and :func:`best_arc` picks the pair the sparse
     greedy baseline picks.
 
-    The in-neighbour rows are repaired as one block: gathered with
-    ``take``, the arcs to i and j dropped with masked writes, m written
-    into each passing row's first freed cell, and the block written back
-    whole. When m has no in-neighbours the block work is skipped. m and the
-    rows left empty are searched in one call to :func:`topk_batch`, m
-    first; m's row is written by :meth:`NNGraph.fill_row` and the others
-    go through :meth:`NNGraph.set_rows`, which writes their floors. The
-    batch carries every changed row's new queue entry, taken from the
-    repaired block or the search results. Returns (the batch, number of
-    exhaustive searches performed, m's included).
+    The in-neighbour rows are repaired by :func:`_repair_block` under the
+    floor rule; when m has no in-neighbours the block work is skipped. m
+    and the rows left empty are searched in one call to :func:`topk_batch`,
+    m first, and :meth:`NNGraph.set_rows` writes all of their rows, which
+    are empty, with their floors. The batch carries every changed row's new
+    queue entry, taken from the repaired block or the search results.
+    Returns (the batch, number of exhaustive searches performed, m's
+    included).
     """
     state.check_alive(m)
     graph._clear_row(i)
     graph._clear_row(j)
     rows = _in_neighbours(graph, i, j, m)
     q_ids = rows[3:]
-    r = q_ids.size
-    k = graph.k
-    best_dst = np.empty(rows.size, dtype=np.int64)
-    best_sim = np.empty(rows.size)
-    queries = rows[2:3]
+    best_dst = np.full(rows.size, -1, dtype=np.int64)
+    best_sim = np.full(rows.size, -INF)
     insertions = 0
-    if r:
-        nbr = graph.nbr.take(q_ids, axis=0)
-        sim = graph.sim.take(q_ids, axis=0)
-        gone = (nbr == i) | (nbr == j)
-        # m's query row against the in-neighbours' rows: q_m . d_q has the
-        # terms of q_q . d_m, so each entry has the bits of sim(q, m)
+    if q_ids.size:
+        # as in incremental_update: each entry has the bits of sim(q, m)
         sims_qm = state.query_row(m) @ state.packed.take(state.slot.take(q_ids), axis=0).T
-        passes = sims_qm > graph.floor.take(q_ids)
-        np.putmask(nbr, gone, -1)
-        np.putmask(sim, gone, -INF)
-        # the flat position of each passing row's first freed cell
-        cells = (gone.argmax(axis=1) + np.arange(0, r * k, k))[passes]
-        nbr.put(cells, m)
-        sim.put(cells, sims_qm[passes])
-        graph.nbr[q_ids] = nbr
-        graph.sim[q_ids] = sim
-        insertions = cells.size
-        if insertions:
-            graph.in_index[m] = set(q_ids[passes].tolist())
-        best_dst[3:], best_sim[3:] = _row_best(sim, nbr)
-        empty = (best_sim[3:] == -INF).nonzero()[0]
-        if empty.size:
-            queries = np.concatenate((queries, q_ids[empty]))
-
-    lists = topk_batch(state, queries, k)
-    # m is a fresh id, so its row is empty
-    arcs_m = lists[0]
-    graph.fill_row(m, arcs_m)
-    graph.full_list[m] = True
-    graph.floor[m] = lists.sims[0, -1]
-    head_dst, head_sim = arcs_m[0] if arcs_m else (-1, -INF)
-    best_dst[:3] = -1, -1, head_dst
-    best_sim[:3] = -INF, -INF, head_sim
-    if queries.size > 1:
-        graph.set_rows(queries[1:], lists.ids[1:], lists.sims[1:], from_full=True)
-        best_dst[3:][empty] = lists.ids[1:, 0]
-        best_sim[3:][empty] = lists.sims[1:, 0]
+        best_dst[3:], best_sim[3:], insertions = _repair_block(
+            graph, i, j, m, q_ids, sims_qm, graph.floor.take(q_ids)
+        )
+    # the nodes to search are m and the rows left empty, the entries still
+    # at -inf after i's and j's
+    searched = (best_sim == -INF).nonzero()[0][2:]
+    queries = rows[searched]
+    lists = topk_batch(state, queries, graph.k)
+    graph.set_rows(queries, lists.ids, lists.sims, from_full=True)
+    best_dst[searched] = lists.ids[:, 0]
+    best_sim[searched] = lists.sims[:, 0]
     return ArcBatch(rows, best_sim, best_dst, insertions), queries.size

@@ -15,10 +15,13 @@ def make_instance(n, d, seed, alpha=None, sign=AlphaSign.OFF, scale=1.0):
 
 
 def set_arcs(graph, u, arcs, *, from_full):
-    """Replace u's arcs in ``graph`` wholesale."""
+    """Replace u's arcs in ``graph`` wholesale. A row ``from_full`` an
+    exhaustive search keeps its finite floor, or else lists every candidate
+    (floor ``-inf``); any other row takes the floor ``+inf``."""
+    floor = graph.floor[u]
     graph._clear_row(u)
     graph.fill_row(u, arcs)
-    graph.full_list[u] = from_full
+    graph.floor[u] = (floor if np.isfinite(floor) else -np.inf) if from_full else np.inf
 
 
 def simplex_centers(k, d, rng):

@@ -10,7 +10,6 @@ from densemulticut.knn import (
     NNGraph,
     best_arc,
     build_nn_graph,
-    contraction_bound,
     exhaustive_update,
     incremental_update,
     topk_batch,
@@ -18,6 +17,15 @@ from densemulticut.knn import (
 )
 
 from conftest import make_instance, set_arcs
+
+
+def targets(graph, u):
+    return [t for t, _ in graph.arcs(u)]
+
+
+def bound(graph, i, j):
+    """The lazy repair's contraction bound for merging i and j."""
+    return knn._bound(graph.k, *((graph.arcs(u), graph.floor[u]) for u in (i, j)))
 
 
 def state_from(rows, alpha=None, sign=AlphaSign.OFF):
@@ -76,6 +84,14 @@ class TestTopkExact:
         with pytest.raises(StateError):
             topk_exact(state, 0, 1)
 
+    def test_dead_query_rejected_by_batch(self):
+        state = ContractionState(make_instance(6, 3, seed=1))
+        state.contract(0, 1)
+        for queries in ([0], [2, 0], [3, 6, 1]):
+            with pytest.raises(StateError):
+                topk_batch(state, np.array(queries), 2)
+        assert len(topk_batch(state, np.array([2, 6]), 2)) == 2
+
     def test_bad_k(self):
         state = state_from([[1, 0], [0, 1]])
         with pytest.raises(ArgumentError):
@@ -111,8 +127,8 @@ class TestBuildGraph:
     def test_two_nodes_point_at_each_other(self):
         state = state_from([[1, 0], [0.5, 0.5]])
         graph, queue = build_nn_graph(state, 1)
-        assert graph.targets(0) == [1]
-        assert graph.targets(1) == [0]
+        assert targets(graph, 0) == [1]
+        assert targets(graph, 1) == [0]
         assert len(queue) == 2
 
     def test_transpose_invariant(self):
@@ -126,7 +142,7 @@ class TestBuildGraph:
         state = ContractionState(fm)
         graph, _ = build_nn_graph(state, 3)
         for i in range(10):
-            arc_targets = set(graph.targets(i))
+            arc_targets = set(targets(graph, i))
             worst = min(s for _, s in graph.arcs(i))
             for v in range(10):
                 if v != i and v not in arc_targets:
@@ -141,15 +157,15 @@ class TestContractionBound:
     def test_hand_value(self):
         state = self._three_plus_state()
         graph, _ = build_nn_graph(state, 1)
-        assert graph.targets(0) == [2]
-        assert graph.targets(1) == [2]
-        b = contraction_bound(graph, 0, 1)
+        assert targets(graph, 0) == [2]
+        assert targets(graph, 1) == [2]
+        b = bound(graph, 0, 1)
         assert b == pytest.approx(1.4, abs=1e-7)
 
     def test_bound_dominates_outside_node(self):
         state = state_from([[1, 0], [0, 1], [0.8, 0.6], [-1, 0]])
         graph, _ = build_nn_graph(state, 1)
-        b = contraction_bound(graph, 0, 1)
+        b = bound(graph, 0, 1)
         m = state.contract(0, 1)
         assert state.sim(m, 3) <= b + 1e-12
 
@@ -157,19 +173,19 @@ class TestContractionBound:
         graph = NNGraph(2, 2)
         set_arcs(graph, 0, [], from_full=True)
         set_arcs(graph, 1, [(0, 0.5)], from_full=True)
-        assert contraction_bound(graph, 0, 1) == INF
+        assert bound(graph, 0, 1) == INF
 
     def test_short_non_exhaustive_list_gives_sentinel(self):
         graph = NNGraph(3, 5)
         set_arcs(graph, 0, [(2, 0.5)], from_full=False)
         set_arcs(graph, 1, [(2, 0.4), (3, 0.1), (4, 0.05)], from_full=True)
-        assert contraction_bound(graph, 0, 1) == INF
+        assert bound(graph, 0, 1) == INF
 
     def test_short_exhaustive_list_is_usable(self):
         graph = NNGraph(3, 5)
         set_arcs(graph, 0, [(2, 0.5)], from_full=True)
         set_arcs(graph, 1, [(2, 0.4), (3, 0.1), (4, 0.05)], from_full=True)
-        assert contraction_bound(graph, 0, 1) == pytest.approx(0.55)
+        assert bound(graph, 0, 1) == pytest.approx(0.55)
 
     def test_randomized_bound_and_skip_search(self, rng):
         """Merged-node similarities to nodes outside the parents' lists never
@@ -189,7 +205,7 @@ class TestContractionBound:
                 for u in (i, j):
                     set_arcs(graph, u, topk_exact(state, u, k), from_full=True)
                 union = {t for t, _ in graph.arcs(i)} | {t for t, _ in graph.arcs(j)}
-                b = contraction_bound(graph, i, j)
+                b = bound(graph, i, j)
                 m = state.contract(i, j)
                 events += 1
                 passing = []
@@ -270,13 +286,13 @@ class TestIncrementalUpdate:
         # lists (the fourth node keeps everyone else's lists intact)
         state = state_from([[1, 0], [0, 1], [0.8, 0.6], [0.75, 0.55]])
         graph, queue = build_nn_graph(state, 1)
-        assert graph.targets(0) == [2]
-        assert graph.targets(1) == [2]
-        assert contraction_bound(graph, 0, 1) == pytest.approx(1.4, abs=1e-7)
+        assert targets(graph, 0) == [2]
+        assert targets(graph, 1) == [2]
+        assert bound(graph, 0, 1) == pytest.approx(1.4, abs=1e-7)
         m = state.contract(0, 1)
         _, searches = incremental_update(graph, state, 0, 1, m)
         assert searches == 0
-        assert graph.targets(m) == [2]
+        assert targets(graph, m) == [2]
         assert graph.arcs(m)[0][1] == pytest.approx(1.4, abs=1e-7)
 
     def test_lazy_leaves_merged_node_isolated(self):
@@ -287,15 +303,15 @@ class TestIncrementalUpdate:
         m = state.contract(0, 1)
         new_arcs, searches = incremental_update(graph, state, 0, 1, m)
         assert searches == 0
-        assert graph.targets(m) == []
+        assert targets(graph, m) == []
 
     def test_lazy_node_with_all_arcs_dead_keeps_none(self):
         state = state_from([[1, 0], [0.99, 0.1], [0.98, -0.1], [0, 1]])
         graph, _ = build_nn_graph(state, 2)
-        assert set(graph.targets(3)) <= {0, 1, 2}
+        assert set(targets(graph, 3)) <= {0, 1, 2}
         m = state.contract(1, 2)
         incremental_update(graph, state, 1, 2, m)
-        for t in graph.targets(3):
+        for t in targets(graph, 3):
             assert state.alive[t]
 
     def test_state_error_for_unregistered_merge(self):
@@ -336,7 +352,7 @@ class TestExhaustiveUpdate:
         queue.push_many(graph, new_arcs)
         graph.validate(state)
         assert searches >= 1
-        assert graph.targets(m) == [t for t, _ in topk_exact(state, m, 1)]
+        assert targets(graph, m) == [t for t, _ in topk_exact(state, m, 1)]
         # the maximum arc similarity equals the true maximum over alive pairs
         best_cached = max(
             s for u in state.alive_ids() for _, s in graph.arcs(int(u))
@@ -361,14 +377,14 @@ class TestExhaustiveUpdate:
             ]
         )
         graph, _ = build_nn_graph(state, 1)
-        assert graph.targets(0) == [1] and graph.targets(3) == [2]
+        assert targets(graph, 0) == [1] and targets(graph, 3) == [2]
         searched = spy_searches(monkeypatch)
         m = state.contract(1, 2)
         new_arcs, searches = exhaustive_update(graph, state, 1, 2, m)
         assert sorted(searched) == [3, m]
         assert searches == 1 + 1  # m and the one uncertified row, v
         assert new_arcs.insertions == 1
-        assert graph.targets(0) == [m]
+        assert targets(graph, 0) == [m]
         assert graph.arcs(0)[0][1] == pytest.approx(state.sim(0, m), rel=1e-12)
         assert graph.arcs(0) == pytest.approx(topk_exact(state, 0, 1), rel=1e-12)
         graph.validate(state)
@@ -388,7 +404,7 @@ class TestExhaustiveUpdate:
     def test_uncertified_row_is_researched(self, rows, k, monkeypatch):
         state = state_from(rows)
         graph, _ = build_nn_graph(state, k)
-        assert 1 in graph.targets(0)
+        assert 1 in targets(graph, 0)
         searched = spy_searches(monkeypatch)
         m = state.contract(1, 2)
         exhaustive_update(graph, state, 1, 2, m)
@@ -398,9 +414,9 @@ class TestExhaustiveUpdate:
             assert graph.arcs(0) == pytest.approx(exact, rel=1e-12)
         else:
             assert 0 not in searched
-            assert graph.targets(0) == [m]
+            assert targets(graph, 0) == [m]
             assert graph.arcs(0) == pytest.approx(exact[:1], rel=1e-12)
-            listed = set(graph.targets(0))
+            listed = set(targets(graph, 0))
             for v in state.alive_ids().tolist():
                 if v != 0 and v not in listed:
                     assert state.sim(0, v) <= graph.floor[0]
@@ -418,11 +434,11 @@ class TestExhaustiveUpdate:
             ]
         )
         graph, _ = build_nn_graph(state, 2)
-        assert set(graph.targets(0)) == {1, 2}
+        assert set(targets(graph, 0)) == {1, 2}
         searched = spy_searches(monkeypatch)
         m = state.contract(1, 3)
         _, searches = exhaustive_update(graph, state, 1, 3, m)
-        assert m in graph.targets(0)
+        assert m in targets(graph, 0)
         assert searched == [m] and searches == 1
         graph.validate(state)
 
@@ -433,19 +449,19 @@ class TestExhaustiveUpdate:
     def test_row_that_lost_both_parents_keeps_its_third_arc(self, monkeypatch):
         state = state_from(self.PARENTS_BELOW_FLOOR)
         graph, _ = build_nn_graph(state, 3)
-        assert graph.targets(0) == [1, 2, 3]
+        assert targets(graph, 0) == [1, 2, 3]
         searched = spy_searches(monkeypatch)
         m = state.contract(1, 2)
         _, searches = exhaustive_update(graph, state, 1, 2, m)
         assert state.sim(0, m) <= graph.floor[0]
         assert searched == [m] and searches == 1
-        assert graph.targets(0) == [3]
+        assert targets(graph, 0) == [3]
         graph.validate(state)
 
     def test_row_left_without_arcs_is_researched(self, monkeypatch):
         state = state_from(self.PARENTS_BELOW_FLOOR)
         graph, _ = build_nn_graph(state, 2)
-        assert graph.targets(0) == [1, 2]
+        assert targets(graph, 0) == [1, 2]
         searched = spy_searches(monkeypatch)
         m = state.contract(1, 2)
         _, searches = exhaustive_update(graph, state, 1, 2, m)

@@ -14,6 +14,7 @@ from densemulticut import knn
 from densemulticut.core import AlphaSign, ContractionState, FeatureMatrix
 from densemulticut.knn import (
     _FEW_CELLS,
+    INF,
     CandidateQueue,
     best_arc,
     build_nn_graph,
@@ -332,7 +333,7 @@ class TestArrayGraph:
         # drop i's and j's rows and every arc pointing at them
         for u in pointing | {i, j}:
             kept = [] if u in (i, j) else [a for a in graph.arcs(u) if a[0] not in (i, j)]
-            set_arcs(graph, u, kept, from_full=bool(graph.full_list[u]) and u not in (i, j))
+            set_arcs(graph, u, kept, from_full=graph.floor[u] < INF and u not in (i, j))
         set_arcs(graph, m, [], from_full=False)
         # nothing is pushed: the cached bests of i, j and of the nodes that
         # pointed at them are stale, and best_arc must look past them
@@ -438,10 +439,12 @@ class TestUpdateEntries:
                 queries = [q for c in spy.call_args_list for q in np.atleast_1d(c.args[1])]
                 assert queries.count(m) == 1
                 assert searches == len(queries)
-                assert graph.full_list[m]
+                assert graph.floor[m] < INF
                 graph.validate(state)
             else:
                 batch, _ = incremental_update(graph, state, i, j, m)
+                # no exhaustive search wrote m's row
+                assert graph.floor[m] == INF
             queue.push_many(graph, batch)
             ids = np.arange(state.n0 + state.forest.n_merges)
             fresh = CandidateQueue(graph.capacity)
@@ -515,7 +518,7 @@ class TestRepairPaths:
             np.testing.assert_array_equal(bits(a.best_sim), bits(b.best_sim))
             np.testing.assert_array_equal(ga.nbr, gb.nbr)
             np.testing.assert_array_equal(bits(ga.sim), bits(gb.sim))
-            np.testing.assert_array_equal(ga.full_list, gb.full_list)
+            np.testing.assert_array_equal(ga.floor, gb.floor)
             assert ga.in_index == gb.in_index
 
 

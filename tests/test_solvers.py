@@ -17,7 +17,7 @@ from densemulticut.core import (
 )
 from densemulticut import solvers
 from densemulticut.errors import ArgumentError
-from densemulticut.knn import CandidateQueue, best_arc
+from densemulticut.knn import INF, CandidateQueue, NNGraph, best_arc
 from densemulticut.solvers import (
     ALGORITHMS,
     SolverConfig,
@@ -211,6 +211,46 @@ class TestDenseAppLaec:
         b = dense_app_laec(fm, cfg_for("dapplaec", sign, seed=7))
         assert pair_trace(a) == pair_trace(b)
         assert np.array_equal(a.labels, b.labels)
+
+
+class TestGraphContract:
+    # every dense solver, the approximate one seeded both ways
+    @pytest.mark.parametrize(
+        "alg, exact_index",
+        [("dgaec", False), ("dgaec-inc", False), ("dlaec", False), ("dapplaec", False),
+         ("dapplaec", True)],
+    )
+    def test_rows_are_written_empty_and_arcs_keep_their_floors(
+        self, alg, exact_index, monkeypatch
+    ):
+        """NNGraph.set_rows is only ever handed empty rows, so it need not
+        clear them; after every repair, validate checks that each arc is at
+        or above its row's floor wherever the floor is finite and that a
+        dead row's floor is +inf."""
+        set_rows = NNGraph.set_rows
+        written = []
+
+        def checked_set_rows(graph, rows, ids, sims, *, from_full):
+            assert (graph.nbr[rows] == -1).all() and (graph.sim[rows] == -INF).all()
+            written.append(rows.size)
+            set_rows(graph, rows, ids, sims, from_full=from_full)
+
+        monkeypatch.setattr(NNGraph, "set_rows", checked_set_rows)
+        for name in ("incremental_update", "exhaustive_update"):
+
+            def validated(graph, state, i, j, m, update=getattr(solvers, name)):
+                out = update(graph, state, i, j, m)
+                graph.validate(state)
+                return out
+
+            monkeypatch.setattr(solvers, name, validated)
+        kw = {}
+        if exact_index:
+            kw["index_factory"] = lambda db, sign, params, seed: ExactIndex(db, sign)
+        for trial in range(4):
+            fm, sign = clustered_instance(trial, n_range=(20, 120))
+            solve(fm, cfg_for(alg, sign, k=3), **kw)
+        assert written
 
 
 class TestSolverProperties:

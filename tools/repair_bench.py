@@ -102,7 +102,7 @@ def forced_digest(fm, cfg, path: str) -> tuple[str, list[int]]:
     h.update(np.array([(s.i, s.j, s.m, s.similarity) for s in result.trace]).tobytes())
     h.update(np.asarray(result.labels).tobytes())
     graph = graphs[-1]
-    for arr in (graph.nbr, graph.sim, graph.full_list):
+    for arr in (graph.nbr, graph.sim, graph.floor):
         h.update(arr.tobytes())
     for t in sorted(graph.in_index):
         h.update(repr((t, sorted(graph.in_index[t]))).encode())
