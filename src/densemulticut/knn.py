@@ -2,15 +2,26 @@
 
 The graph stores every node's outgoing arcs in two padded arrays, ``nbr``
 (target ids, ``-1`` pad) and ``sim`` (cached similarities, ``-inf`` pad),
-one row of ``k`` slots per node id, plus the exact reverse-adjacency index
-and, per row, its floor. A row written by an exhaustive search has the
-k-th similarity that search found as its floor, or ``-inf`` when it listed
-every candidate; any other row, and every empty or unused id, has the
-floor ``+inf``. The candidate queue keeps one entry per node, the best arc
+one row of ``k`` slots per node id, plus, per row, its floor and, per
+target, a segment of the reverse index. A row written by an exhaustive
+search has the k-th similarity that search found as its floor, or ``-inf``
+when it listed every candidate; any other row, and every empty or unused
+id, has the floor ``+inf``. The candidate queue keeps one entry per node, the best arc
 of its row, and the contraction loop takes the argmax over those entries.
 
+The reverse index is arrays only: each target's segment of one int32
+arena lists every node that pointed at it since the segment was written,
+and a lookup keeps the sources still alive. That is exact because an arc
+leaves a row only when one of its ends dies, and a row is written only
+while it is empty. A build writes the index as one CSR from a stable
+argsort of ``nbr``; a merged node's in-list is written as one slice; any
+other arc is appended to its target's segment, which moves to the arena's
+end when full; a full arena is compacted by building the CSR again from
+``nbr`` (:class:`NNGraph`).
+
 After contracting an arc the graph is repaired in one loop: the parents'
-rows are emptied, every row that pointed at a parent drops those arcs and
+rows are emptied, their segments give the rows that pointed at them
+(:func:`_in_neighbours`), every such row drops its arcs to a parent and
 may take the merged node in its first freed slot, and the queue entries of
 the changed rows are computed from what the repair holds, so the queue
 takes them without reading the graph again. The repairs differ only in
@@ -114,6 +125,10 @@ _FEW_ENTRIES = 32
 # fixed cost per call outweighs its speed per row, and from 14 or 15 rows
 # numpy is faster (tools/repair_bench.py).
 _FEW_ROWS = 13
+# Entries of the reverse index's arena per arc slot of the NN graph; at
+# least 1, so that a compaction always fits. The rest is room for the
+# segments written and moved between compactions.
+_ARENA = 4
 
 
 def _rank_key(arc: tuple[int, float]) -> tuple[float, int]:
@@ -572,7 +587,6 @@ class NNGraph:
     Row ``u`` of ``nbr`` (target ids, ``-1`` pad) and ``sim`` (cached
     similarities, ``-inf`` pad) holds u's at most ``k`` outgoing arcs in
     slot order; removed arcs leave holes that later arcs may fill.
-    ``in_index`` maps a node to the set of nodes that point at it.
 
     ``floor[u]`` records where u's row came from. A row written by an
     exhaustive search has the k-th similarity that search found, ``-inf``
@@ -583,6 +597,36 @@ class NNGraph:
     id, has ``+inf``; the contraction bound gives up (``+inf``) on such a
     row when it is shorter than k. ``capacity`` rows are allocated up
     front, one per node id the solve can create.
+
+    The reverse index gives each target t a segment
+    ``in_src[in_start[t]:in_end[t]]`` of one int32 arena, with room up to
+    ``in_limit[t]``; the first ``in_used`` entries of the arena are taken.
+    The segment lists every node that pointed at t since the segment was
+    written, so it may hold nodes that have died since. A lookup keeps only
+    the sources still alive, which is exact by the alive-check rule: an arc
+    leaves a row only when one of its ends dies, and a row is written only
+    while it is empty, so every alive source in an alive target's segment
+    still points at it. A row rewritten while it holds arcs (only tests do
+    this) needs the index rebuilt from the rows (:meth:`_index_rows`).
+
+    - Rows written to an empty index, a build's, are indexed whole as one
+      CSR from a stable argsort of the flattened ``nbr``
+      (:meth:`_index_rows`): each segment holds its sources in id order,
+      and an alive node's segment has room for k more.
+    - A merged node's in-list, the rows that took it, is written as one
+      slice at the arena's end (:meth:`_set_sources`).
+    - Any other arc, the merged node's own and those of the rows the exact
+      repair searches, is appended to its target's segment
+      (:meth:`_append`). A full segment moves to the arena's end with room
+      for twice the length it needs (:meth:`_move`).
+    - When the arena has no room for a slice or a move, it is compacted:
+      the CSR is built again from ``nbr``, which then holds every arc.
+
+    A CSR takes at most 2k entries per node whose row holds an arc, and at
+    most ``(capacity + 1) / 2`` nodes of a solve are alive at once, so an
+    arena of ``_ARENA · k · (capacity + 1)`` entries holds a compaction for
+    any ``_ARENA >= 1``; the rest is room for slices and moves. The index
+    takes ``4·_ARENA·k·(capacity + 1) + 24·capacity`` bytes.
     """
 
     def __init__(self, k: int, capacity: int) -> None:
@@ -592,55 +636,153 @@ class NNGraph:
         self.nbr = np.full((capacity, k), -1, dtype=np.int64)
         self.sim = np.full((capacity, k), -INF)
         self.floor = np.full(capacity, INF)
-        self.in_index: dict[int, set[int]] = {}
+        self.in_start = np.zeros(capacity, dtype=np.int64)
+        self.in_end = np.zeros(capacity, dtype=np.int64)
+        self.in_limit = np.zeros(capacity, dtype=np.int64)
+        self.in_src = np.empty(_ARENA * k * (capacity + 1), dtype=np.int32)
+        self.in_used = 0
 
     @property
     def capacity(self) -> int:
         return self.nbr.shape[0]
 
+    @property
+    def in_index(self) -> _InIndexView:
+        """The reverse index as a read-only view; only the benchmark's
+        tracer reads it."""
+        return _InIndexView(self)
+
     def arcs(self, u: int) -> list[tuple[int, float]]:
         return [(t, s) for t, s in zip(self.nbr[u].tolist(), self.sim[u].tolist()) if t >= 0]
 
-    def _clear_row(self, u: int) -> list[tuple[int, float]]:
-        """Empty u's row and reset its floor to ``+inf``; returns the arcs
-        it held."""
-        arcs = self.arcs(u)
-        if arcs:
-            for t, _ in arcs:
-                self.in_index[t].discard(u)
-            self.nbr[u] = -1
-            self.sim[u] = -INF
+    def _clear_row(self, u: int) -> None:
+        """Empty u's row and reset its floor to ``+inf``. u stays in its
+        targets' segments, which the alive-check rule allows only once u
+        has died."""
+        self.nbr[u] = -1
+        self.sim[u] = -INF
         self.floor[u] = INF
-        return arcs
 
     def set_rows(
         self, rows: np.ndarray, ids: np.ndarray, sims: np.ndarray, *, from_full: bool
     ) -> None:
         """Write the arcs of every node in ``rows``, whose rows must be
-        empty, and list each node in the reverse index of every arc's end.
+        empty, and list each node in the segment of every arc's end.
 
         ``ids`` and ``sims`` are padded ``(len(rows), w)`` arrays, ``w <= k``.
         Rows ``from_full`` an exhaustive search have ``w = k`` and take their
-        last column as their floor; other rows take ``+inf``.
+        last column as their floor; other rows take ``+inf``. An empty index,
+        a build's, is built whole as a CSR.
         """
         w = ids.shape[1]
         self.nbr[rows, :w] = ids
         self.sim[rows, :w] = sims
         self.floor[rows] = sims[:, -1] if from_full else INF
-        for u, row in zip(rows.tolist(), ids.tolist()):
-            for t in row:
-                if t >= 0:
-                    self.in_index.setdefault(t, set()).add(u)
+        if not self.in_used:
+            self._index_rows()
+        elif rows.size == 1:
+            # one row lists each target once, so it needs no grouping; the
+            # exact repair's searches are mostly the merged node's alone
+            targets = ids[0]
+            self._append(targets[targets >= 0], rows.item(0))
+        else:
+            flat = ids.ravel()
+            order = flat.argsort(kind="stable")
+            targets = flat[order]
+            # pads sort first
+            lo = targets.searchsorted(0)
+            self._append(targets[lo:], rows[order[lo:] // w])
 
     def fill_row(self, u: int, arcs: list[tuple[int, float]]) -> None:
         """Write ``arcs`` into u's row, which must hold none, and list u in
-        each target's reverse index."""
+        each target's segment."""
         if arcs:
             ids = [t for t, _ in arcs]
             self.nbr[u, : len(arcs)] = ids
             self.sim[u, : len(arcs)] = [s for _, s in arcs]
-            for t in ids:
-                self.in_index.setdefault(t, set()).add(u)
+            self._append(np.array(ids), int(u))
+
+    def _index_rows(self) -> None:
+        """Build the reverse index from ``nbr`` as one CSR. One stable
+        argsort of the flattened rows groups the arcs by target, so each
+        segment holds its sources in id order. The segment of a node whose
+        row holds an arc, an alive node, has room for k more sources."""
+        flat = self.nbr.ravel()
+        order = flat.argsort(kind="stable")
+        # bin 0 counts the pads, which sort first
+        counts = np.bincount(flat + 1, minlength=self.capacity + 1)[1:]
+        arcs = order[order.size - int(counts.sum()) :]
+        spare = self.k * (self.nbr.max(axis=1) >= 0)
+        np.cumsum(counts + spare, out=self.in_limit)
+        np.subtract(self.in_limit, spare, out=self.in_end)
+        np.subtract(self.in_end, counts, out=self.in_start)
+        # the i-th arc in target order lands i places on, plus the room of
+        # the segments before its target's
+        pos = (np.cumsum(spare) - spare)[flat[arcs]]
+        pos += np.arange(arcs.size)
+        self.in_src[pos] = arcs // self.k
+        self.in_used = self.in_limit.item(-1)
+
+    def _set_sources(self, t: int, sources) -> None:
+        """Write the segment of t, a fresh id, as one slice at the arena's
+        end, with no room to spare."""
+        a = self.in_used
+        b = a + len(sources)
+        if b > self.in_src.size:
+            # the rows already hold t's arcs
+            self._index_rows()
+            return
+        self.in_src[a:b] = sources
+        self.in_start[t] = a
+        self.in_end[t] = self.in_limit[t] = self.in_used = b
+
+    def _append(self, targets: np.ndarray, sources: int | np.ndarray) -> None:
+        """List ``sources`` in the segments of ``targets``: one ``int``
+        source for all, whose targets are then distinct, or one source per
+        target, the targets sorted and grouped here, since several rows may
+        list one target. Segments without room for their new entries move
+        first (:meth:`_move`)."""
+        if isinstance(sources, int):
+            count, rank = 1, 0
+        else:
+            first = targets.searchsorted(targets)
+            count = targets.searchsorted(targets, "right") - first
+            rank = np.arange(targets.size) - first
+        end = self.in_end[targets]
+        pos = end + rank
+        if np.count_nonzero(pos >= self.in_limit[targets]):
+            if not self._move(targets, end + count):
+                return
+            end = self.in_end[targets]
+            pos = end + rank
+        self.in_src.put(pos, sources)
+        self.in_end[targets] = end + count
+
+    def _move(self, targets: np.ndarray, ends: np.ndarray) -> bool:
+        """Move every segment of ``targets`` (which may repeat) that
+        cannot reach the entry in ``ends`` to the arena's end, with room for
+        twice the length it then needs. When the arena lacks that room it is
+        compacted from the rows instead, which already hold the arcs being
+        added, and ``False`` is returned."""
+        start, limit = self.in_start, self.in_limit
+        moves = [
+            (t, e - start.item(t))
+            for t, e in dict(zip(targets.tolist(), ends.tolist())).items()
+            if e > limit.item(t)
+        ]
+        a = self.in_used
+        if a + 2 * sum(n for _, n in moves) > self.in_src.size:
+            self._index_rows()
+            return False
+        for t, n in moves:
+            s, e = start.item(t), self.in_end.item(t)
+            self.in_src[a : a + e - s] = self.in_src[s:e]
+            start[t] = a
+            self.in_end[t] = a + e - s
+            a += 2 * n
+            limit[t] = a
+        self.in_used = a
+        return True
 
     def validate(self, state: ContractionState, tol: float = 1e-9) -> None:
         """Assert structural invariants (tests only; O(arcs) plus recompute)."""
@@ -663,10 +805,34 @@ class NNGraph:
                     f"cached sim {s} vs {true}"
                 )
                 transpose.setdefault(t, set()).add(u)
-        for t, srcs in transpose.items():
-            assert self.in_index.get(t, set()) == srcs
-        for t, srcs in self.in_index.items():
-            assert transpose.get(t, set()) == srcs
+        start, end, limit = self.in_start, self.in_end, self.in_limit
+        assert (start <= end).all() and (end <= limit).all(), "segment past its room"
+        assert limit.max(initial=0) <= self.in_used <= self.in_src.size, "segment past the arena"
+        roomy = np.flatnonzero(limit > start)
+        by_start = roomy[np.argsort(start[roomy])]
+        assert (start[by_start[1:]] >= limit[by_start[:-1]]).all(), "segments overlap"
+        for t in range(self.capacity):
+            listed = self.in_src[start[t] : end[t]].tolist()
+            for u in transpose.get(t, ()):
+                assert u in listed, f"arc {u}->{t} missing from {t}'s segment"
+            if state.alive[t]:
+                kept = {u for u in listed if state.alive[u]}
+                assert kept == transpose.get(t, set()), f"{t}'s segment lists a stale source"
+
+
+class _InIndexView:
+    """Read-only view of an :class:`NNGraph`'s reverse index, for the
+    benchmark's tracer: ``get(t)`` is the set of nodes in t's segment whose
+    rows still list t, in O(segment · k)."""
+
+    def __init__(self, graph: NNGraph) -> None:
+        self._graph = graph
+
+    def get(self, t: int, default=None):
+        g = self._graph
+        listed = g.in_src[g.in_start.item(t) : g.in_end.item(t)]
+        found = set(listed[(g.nbr[listed] == t).any(axis=1)].tolist())
+        return found or default
 
 
 class ArcBatch:
@@ -739,8 +905,13 @@ def best_arc(
     Takes the argmax of the per-node entries over every node id allocated
     so far; equal similarities break toward the smallest (min id, max id)
     pair, so the entries tied with the maximum are gathered only when the
-    maximum recurs. Entries with a dead endpoint are refreshed and the
-    selection repeats. The winning pair is returned as (min id, max id).
+    maximum recurs. The winning pair is returned as (min id, max id).
+
+    Entries with a dead endpoint are refreshed and the selection repeats.
+    The repairs never leave such an entry: every push writes the entries
+    of the parents (empty) and of every row that listed one, so this
+    branch guards only graphs and queues changed by hand
+    (``TestGraphContract`` checks that no solve takes it).
     """
     alive = state.alive
     n = state.n0 + state.forest.n_merges
@@ -806,17 +977,27 @@ def _bound(k: int, *rows: tuple[list[tuple[int, float]], float]) -> float:
     return total
 
 
-def _in_neighbours(graph: NNGraph, i: int, j: int, m: int) -> np.ndarray:
-    """Pop the in-sets of i and j, whose rows are already empty; returns
-    ``[i, j, m]`` followed by the sorted ids of the nodes that listed i or j.
+def _in_neighbours(graph: NNGraph, alive: np.ndarray, i: int, j: int, m: int) -> np.ndarray:
+    """``[i, j, m]`` followed by the sorted ids of the alive nodes that list
+    i or j: i's and j's segments, sorted, with the dead sources and the
+    second copy of a node that listed both dropped.
 
-    Neither parent is in the other's in-set, since both rows are empty. The
+    The parents are dead, so no segment entry equal to either is kept. The
     ids are sorted because the block product over their rows can round
-    differently in another row order.
+    differently in another row order; a stable sort merges the sorted runs
+    a segment mostly is in linear time.
     """
-    nin = graph.in_index.pop(i, set())
-    nin.update(graph.in_index.pop(j, ()))
-    return np.array([i, j, m, *sorted(nin)], dtype=np.int64)
+    start, end, src = graph.in_start, graph.in_end, graph.in_src
+    rows = np.concatenate(
+        ((i, j, m), src[start.item(i) : end.item(i)], src[start.item(j) : end.item(j)])
+    )
+    nin = rows[3:]
+    nin.sort(kind="stable")
+    # m is alive, i and j are kept by hand
+    keep = alive[rows]
+    keep[:2] = True
+    np.logical_and(keep[4:], nin[1:] != nin[:-1], out=keep[4:])
+    return rows[keep]
 
 
 def incremental_update(
@@ -847,12 +1028,14 @@ def incremental_update(
     state.check_alive(m)
     k = graph.k
     floors = graph.floor.item(i), graph.floor.item(j)
-    arcs_i, arcs_j = graph._clear_row(i), graph._clear_row(j)
-    rows = _in_neighbours(graph, i, j, m)
+    arcs_i, arcs_j = graph.arcs(i), graph.arcs(j)
+    graph._clear_row(i)
+    graph._clear_row(j)
+    alive = state.alive
+    rows = _in_neighbours(graph, alive, i, j, m)
     q_ids = rows[3:]
 
     bound = _bound(k, (arcs_i, floors[0]), (arcs_j, floors[1]))
-    alive = state.alive
     cand = sorted({t for t, _ in chain(arcs_i, arcs_j) if alive.item(t)})
     merged_arcs: list[tuple[int, float]] = []
     if cand:
@@ -932,7 +1115,7 @@ def _repair_rows(
             # an empty row's cells are all (-1, -inf), so it gets -1
             best_dst.append(min(t for t, s in zip(ts, ss) if s == top))
     if added:
-        graph.in_index[m] = set(added)
+        graph._set_sources(m, added)
     return best_dst, best_sim, len(added)
 
 
@@ -952,10 +1135,10 @@ def _repair_block(
     the repairs do differently: the exact repair's ``sims_qm > floor``, one
     floor per row, or, with ``floor`` ``None``, the lazy repair's
     ``sims_qm`` strictly above the row's weakest surviving arc (strictly,
-    as m has the largest id). The block is written back whole and m's
-    reverse index lists the rows that took it. Returns the block's queue
-    entries (:func:`_row_best`, one per row) and the count of rows that
-    took m.
+    as m has the largest id). The block is written back whole, and m's
+    segment of the reverse index lists the rows that took it. Returns the
+    block's queue entries (:func:`_row_best`, one per row) and the count of
+    rows that took m.
     """
     k = graph.k
     nbr = graph.nbr.take(q_ids, axis=0)
@@ -973,10 +1156,10 @@ def _repair_block(
     cells = (gone.argmax(axis=1) + np.arange(0, q_ids.size * k, k))[passes]
     nbr.put(cells, m)
     sim.put(cells, sims_qm[passes])
-    if cells.size:
-        graph.in_index[m] = set(q_ids[passes].tolist())
     graph.nbr[q_ids] = nbr
     graph.sim[q_ids] = sim
+    if cells.size:
+        graph._set_sources(m, q_ids[passes])
     return (*_row_best(sim, nbr), cells.size)
 
 
@@ -1018,7 +1201,7 @@ def exhaustive_update(
     state.check_alive(m)
     graph._clear_row(i)
     graph._clear_row(j)
-    rows = _in_neighbours(graph, i, j, m)
+    rows = _in_neighbours(graph, state.alive, i, j, m)
     q_ids = rows[3:]
     best_dst = np.full(rows.size, -1, dtype=np.int64)
     best_sim = np.full(rows.size, -INF)

@@ -17,10 +17,15 @@ def make_instance(n, d, seed, alpha=None, sign=AlphaSign.OFF, scale=1.0):
 def set_arcs(graph, u, arcs, *, from_full):
     """Replace u's arcs in ``graph`` wholesale. A row ``from_full`` an
     exhaustive search keeps its finite floor, or else lists every candidate
-    (floor ``-inf``); any other row takes the floor ``+inf``."""
+    (floor ``-inf``); any other row takes the floor ``+inf``.
+
+    u may be alive and its old targets too, which the reverse index's
+    alive-check rule does not allow, so the index is rebuilt from the rows.
+    """
     floor = graph.floor[u]
     graph._clear_row(u)
     graph.fill_row(u, arcs)
+    graph._index_rows()
     graph.floor[u] = (floor if np.isfinite(floor) else -np.inf) if from_full else np.inf
 
 

@@ -1,7 +1,7 @@
-"""Array-backed NN graph, per-node candidate queue, block top-k, the
-selection helper, the queue entries the graph updates compute, the two
-in-neighbour block paths of the lazy update and the tie contract under
-exact similarity ties."""
+"""Array-backed NN graph, its reverse index, per-node candidate queue,
+block top-k, the selection helper, the queue entries the graph updates
+compute, the two in-neighbour block paths of the lazy update and the tie
+contract under exact similarity ties."""
 
 from unittest import mock
 
@@ -326,7 +326,7 @@ class TestArrayGraph:
         state = ContractionState(fm)
         graph, queue = build_nn_graph(state, 2)
         i, j, _ = best_arc(graph, queue, state)
-        pointing = graph.in_index.get(i, set()) | graph.in_index.get(j, set())
+        pointing = set(np.flatnonzero(((graph.nbr == i) | (graph.nbr == j)).any(axis=1)).tolist())
         stale = [u for u in pointing - {i, j} if queue.best_dst[u] in (i, j)]
         assert stale, "instance should leave some cached bests pointing at i or j"
         m = state.contract(i, j)
@@ -519,7 +519,96 @@ class TestRepairPaths:
             np.testing.assert_array_equal(ga.nbr, gb.nbr)
             np.testing.assert_array_equal(bits(ga.sim), bits(gb.sim))
             np.testing.assert_array_equal(ga.floor, gb.floor)
-            assert ga.in_index == gb.in_index
+            # the same segments at the same places of the arena
+            assert ga.in_used == gb.in_used
+            for name in ("in_start", "in_end", "in_limit"):
+                np.testing.assert_array_equal(getattr(ga, name), getattr(gb, name))
+            for s, e in zip(ga.in_start.tolist(), ga.in_end.tolist()):
+                np.testing.assert_array_equal(ga.in_src[s:e], gb.in_src[s:e])
+
+
+def contract_randomly(update, k, n, d, values, sign, seed, check):
+    """Build the exact graph of ``n`` random rows and contract pairs until
+    one node is left, repairing with ``update`` ("lazy" or "exhaustive")
+    and calling ``check(graph, state)`` after every repair. The merges are
+    the queue's best arc, or a random pair one time in three and when no
+    arc is left."""
+    rng = np.random.default_rng(seed)
+    if values == "integer":
+        rows = rng.integers(-2, 3, size=(n, d))
+    else:
+        rows = rng.normal(size=(n, d))
+    state = ContractionState(FeatureMatrix(rows.astype(np.float32)).with_affinity(0.5, sign))
+    graph, queue = build_nn_graph(state, k)
+    repair = incremental_update if update == "lazy" else exhaustive_update
+    while state.n_alive > 1:
+        arc = best_arc(graph, queue, state)
+        if arc is None or rng.random() < 1 / 3:
+            i, j = (int(x) for x in rng.choice(state.alive_ids(), size=2, replace=False))
+        else:
+            i, j, _ = arc
+        m = state.contract(i, j)
+        batch, _ = repair(graph, state, i, j, m)
+        queue.push_many(graph, batch)
+        check(graph, state)
+
+
+def check_lookups(graph, state):
+    """Every alive node's lookup, the one a repair makes for a parent,
+    equals the sorted transpose of ``nbr``; ``validate`` checks that every
+    arc is in its target's segment and that no segment overlaps another."""
+    for t in state.alive_ids().tolist():
+        # i = j = m = t: the header is t three times, the rest t's sources
+        got = knn._in_neighbours(graph, state.alive, t, t, t)[3:]
+        want = np.flatnonzero((graph.nbr == t).any(axis=1))
+        np.testing.assert_array_equal(got, want)
+    graph.validate(state)
+
+
+class TestReverseIndex:
+    # with the arena at its least size, one entry per arc slot, a build
+    # leaves it nearly full, so the repairs move segments and compact the
+    # arena from the rows over and over; a lookup must stay exact through
+    # both
+    @settings(max_examples=40, deadline=None)
+    @given(
+        update=st.sampled_from(["lazy", "exhaustive"]),
+        n=st.integers(2, 40),
+        d=st.integers(1, 4),
+        k=st.sampled_from([1, 2, 3, 5]),
+        values=st.sampled_from(["integer", "continuous"]),
+        sign=st.sampled_from([AlphaSign.PLUS, AlphaSign.MINUS, AlphaSign.OFF]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lookups_equal_the_transpose_in_a_small_arena(
+        self, update, n, d, k, values, sign, seed
+    ):
+        with mock.patch.object(knn, "_ARENA", 1):
+            contract_randomly(update, k, n, d, values, sign, seed, check_lookups)
+
+    @pytest.mark.parametrize("update", ["lazy", "exhaustive"])
+    def test_small_arena_moves_segments_and_compacts(self, update):
+        moves, builds = [], []
+        move, index_rows = knn.NNGraph._move, knn.NNGraph._index_rows
+
+        def counted_move(graph, *args):
+            moves.append(move(graph, *args))
+            return moves[-1]
+
+        def counted_index_rows(graph):
+            builds.append(graph.in_used)
+            index_rows(graph)
+
+        with (
+            mock.patch.object(knn, "_ARENA", 1),
+            mock.patch.object(knn.NNGraph, "_move", counted_move),
+            mock.patch.object(knn.NNGraph, "_index_rows", counted_index_rows),
+        ):
+            contract_randomly(update, 5, 40, 3, "continuous", AlphaSign.MINUS, 1, check_lookups)
+        # a move that finds no room compacts instead; the first build finds
+        # the arena empty, every later one compacts it
+        assert any(moves)
+        assert builds[0] == 0 and len(builds) > 1
 
 
 class TestTieContract:

@@ -225,10 +225,15 @@ class TestGraphContract:
     ):
         """NNGraph.set_rows is only ever handed empty rows, so it need not
         clear them; after every repair, validate checks that each arc is at
-        or above its row's floor wherever the floor is finite and that a
-        dead row's floor is +inf."""
+        or above its row's floor wherever the floor is finite, that a dead
+        row's floor is +inf and that the reverse index lists every arc.
+        Before every best_arc, so after every repair's push, each dead
+        row's queue entry is empty and each alive row's entry is empty or
+        names an alive target, so best_arc's stale-entry refresh never
+        runs in a solve."""
         set_rows = NNGraph.set_rows
         written = []
+        picks = []
 
         def checked_set_rows(graph, rows, ids, sims, *, from_full):
             assert (graph.nbr[rows] == -1).all() and (graph.sim[rows] == -INF).all()
@@ -244,13 +249,25 @@ class TestGraphContract:
                 return out
 
             monkeypatch.setattr(solvers, name, validated)
+
+        def checked_best_arc(graph, queue, state, best_arc=solvers.best_arc):
+            n = state.n0 + state.forest.n_merges
+            dst, sim, alive = queue.best_dst[:n], queue.best_sim[:n], state.alive[:n]
+            empty = dst == -1
+            assert ((sim == -INF) == empty).all()
+            assert (empty | alive).all(), "a dead row has an entry"
+            assert (empty | state.alive[dst]).all(), "an entry names a dead target"
+            picks.append(n)
+            return best_arc(graph, queue, state)
+
+        monkeypatch.setattr(solvers, "best_arc", checked_best_arc)
         kw = {}
         if exact_index:
             kw["index_factory"] = lambda db, sign, params, seed: ExactIndex(db, sign)
         for trial in range(4):
             fm, sign = clustered_instance(trial, n_range=(20, 120))
             solve(fm, cfg_for(alg, sign, k=3), **kw)
-        assert written
+        assert written and picks
 
 
 class TestSolverProperties:

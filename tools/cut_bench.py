@@ -8,6 +8,7 @@ Usage, from the repository root::
     python3 tools/cut_bench.py --build
     python3 tools/cut_bench.py --ann
     python3 tools/cut_bench.py --state
+    python3 tools/cut_bench.py --graph
 
 For every block of r rows and c columns, r in {1, 2, 3, 4, 8, 512} and c in
 {40, 400, 1000, 8000}, every k in {2, 5}, and two kinds of values, it
@@ -72,6 +73,27 @@ boolean ``alive`` (2·n − 1), 42·n − 17 bytes in all; and 64 KiB for array
 headers and the sign row. A second array of query rows would exceed it by
 n·dim·8. The exit code is 1 when any peak exceeds its bound, else 0.
 
+``--graph`` instead checks the memory of a whole graph build, the NN graph,
+its reverse index and the queue. For each benchmark instance (seed 7, the
+benchmark's affinity) and for ``synth_rows(20000, 32, 20, 0.1, seed=1)``
+under the same affinity, it prints the ``tracemalloc`` peak of
+``knn.build_nn_graph`` at k in {1, 5}, after one untraced call, and its
+bound ``G + max(S, 16·k·n + C)`` in bytes, for n alive nodes and
+``cap = 2n - 1`` ids; the search's transients are freed before the index
+is written, which holds the search's ``(n, k)`` lists and its own:
+
+- ``G = (16k + 8)·cap + 4·_ARENA·k·(cap + 1) + 24·cap + 16·cap + 8·n``, what
+  the build returns and its alive ids: ``nbr``, ``sim`` and ``floor``, the
+  reverse index (its int32 arena and three int64 offsets per id), the
+  queue's two entries per id, and the alive ids;
+- ``S``, the ``--build`` bound of the screened search the build makes;
+- ``C = 16·k·cap + 32·k·n + 48·cap``, the transients of writing the index
+  as one CSR: the argsort of the flattened rows and one shifted copy of
+  them, four arrays of one entry per arc (at most k·n arcs) and six of one
+  entry per id.
+
+The exit code is 1 when any peak exceeds its bound, else 0.
+
 BLAS runs on the benchmark's thread count, as in ``tools/trace_digest.py``.
 """
 
@@ -97,6 +119,7 @@ BUILD_REPEATS = 3
 BUILD_SIZES = (20000, 50000)
 ANN_K = 5
 ANN_SIZES = (20000, 50000, 100000)
+GRAPH_SIZE = 20000
 # Bytes a built ContractionState may hold beyond its rows and index arrays.
 STATE_SLACK = 64 << 10
 
@@ -317,6 +340,72 @@ def state_main() -> int:
     return 1 if over else 0
 
 
+def graph_bound(n: int, k: int, search: int) -> int:
+    """The byte bound on a graph build's ``tracemalloc`` peak, from the
+    module docstring; ``search`` is the ``--build`` bound of its search."""
+    from densemulticut import knn
+
+    cap = 2 * n - 1
+    graph = (16 * k + 8) * cap + 4 * knn._ARENA * k * (cap + 1) + 24 * cap + 16 * cap + 8 * n
+    return graph + max(search, 16 * k * n + 16 * k * cap + 32 * k * n + 48 * cap)
+
+
+def graph_main() -> int:
+    import tracemalloc
+
+    import numpy as np
+
+    from densemulticut import knn
+    from densemulticut.core import ContractionState, FeatureMatrix
+    from solverbench import bench
+
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_ann import synth_rows
+
+    instances = [(w.name, w.regime.instance(BUILD_SEED)) for w in bench.WORKLOADS.values()]
+    instances.append(
+        ("synth_rows", FeatureMatrix(synth_rows(GRAPH_SIZE, 32, 20, 0.1, seed=1).astype(np.float32)))
+    )
+    above = knn._above_threshold
+    gathered: list[int] = []
+
+    def counting(sims, k, slack=None):
+        out = above(sims, k, slack)
+        if slack is not None:
+            gathered.append(out[0].size)
+        return out
+
+    print(f"seed {BUILD_SEED}, sign {bench.SIGN.value}, _ARENA = {knn._ARENA}")
+    print(f"{'instance':>28} {'k':>2} {'index_mb':>8} {'peak_mb':>8} {'bound_mb':>8} result")
+    over = 0
+    for name, fm in instances:
+        state = ContractionState(fm.with_affinity(bench.ALPHA, bench.SIGN))
+        n = state.n_alive
+        for k in BUILD_KS:
+            knn.build_nn_graph(state, k)
+            gathered.clear()
+            knn._above_threshold = counting
+            tracemalloc.start()
+            try:
+                graph, _ = knn.build_nn_graph(state, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                knn._above_threshold = above
+            index = graph.in_src.nbytes + 3 * graph.in_start.nbytes
+            del graph
+            search = build_bound(state, n, k, max(gathered, default=0))
+            bound = graph_bound(n, k, search)
+            over += peak > bound
+            print(
+                f"{name + ' n ' + str(n):>28} {k:>2} {index / 2**20:>8.2f} {peak / 2**20:>8.2f} "
+                f"{bound / 2**20:>8.2f} {'within' if peak <= bound else 'OVER'}",
+                flush=True,
+            )
+    print("every peak is within its bound" if not over else f"{over} peaks over their bound")
+    return 1 if over else 0
+
+
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--build", action="store_true",
@@ -325,6 +414,8 @@ def main(argv: list[str]) -> int:
                    help="time the ANN index build and check its memory peak instead")
     p.add_argument("--state", action="store_true",
                    help="check the memory peak of building the contraction state instead")
+    p.add_argument("--graph", action="store_true",
+                   help="check the memory peak of building the NN graph and its index instead")
     args = p.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = BLAS_THREADS
@@ -335,6 +426,8 @@ def main(argv: list[str]) -> int:
         return ann_main()
     if args.state:
         return state_main()
+    if args.graph:
+        return graph_main()
     # numpy loads only after the BLAS thread count is pinned
     import numpy as np
 

@@ -61,11 +61,22 @@ def bucket(count: int) -> str:
     return f"{lo}+"
 
 
-def in_neighbours(graph, i: int, j: int) -> int:
-    """The rows of the block the update of merging i and j repairs."""
-    index = graph.in_index
-    # the parents list each other only until their rows are cleared
-    return len((index.get(i, set()) | index.get(j, set())) - {i, j})
+def in_neighbours(graph, state, i: int, j: int, m: int) -> int:
+    """The rows of the block the update of merging i and j into m repairs:
+    the update's own lookup, less its header ``[i, j, m]``."""
+    from densemulticut import knn
+
+    return knn._in_neighbours(graph, state.alive, i, j, m).size - 3
+
+
+def segments(graph) -> bytes:
+    """The reverse index as the graph holds it: each target's segment
+    bounds and room, then every segment's sources in target order."""
+    import numpy as np
+
+    parts = [graph.in_src[s:e] for s, e in zip(graph.in_start.tolist(), graph.in_end.tolist())]
+    bounds = np.concatenate((graph.in_start, graph.in_end, graph.in_limit, [graph.in_used]))
+    return bounds.tobytes() + np.concatenate(parts).tobytes()
 
 
 def forced_digest(fm, cfg, path: str) -> tuple[str, list[int]]:
@@ -81,12 +92,13 @@ def forced_digest(fm, cfg, path: str) -> tuple[str, list[int]]:
     graphs = []
 
     def digesting(graph, state, i, j, m):
-        counts.append(in_neighbours(graph, i, j))
+        counts.append(in_neighbours(graph, state, i, j, m))
         batch, searches = update(graph, state, i, j, m)
         rows = batch.rows
         for arr in (rows, batch.best_sim, batch.best_dst, graph.nbr[rows], graph.sim[rows]):
             h.update(arr.tobytes())
-        h.update(repr((batch.insertions, searches, sorted(graph.in_index.get(m, ())))).encode())
+        h.update(repr((batch.insertions, searches)).encode())
+        h.update(graph.in_src[graph.in_start[m] : graph.in_end[m]].tobytes())
         if not graphs or graphs[-1] is not graph:
             graphs.append(graph)
         return batch, searches
@@ -104,8 +116,7 @@ def forced_digest(fm, cfg, path: str) -> tuple[str, list[int]]:
     graph = graphs[-1]
     for arr in (graph.nbr, graph.sim, graph.floor):
         h.update(arr.tobytes())
-    for t in sorted(graph.in_index):
-        h.update(repr((t, sorted(graph.in_index[t]))).encode())
+    h.update(segments(graph))
     return h.hexdigest(), counts
 
 
@@ -122,7 +133,7 @@ def alternating_times(fm, cfg, first: int, times: dict[str, dict[str, list[int]]
     def timed(graph, state, i, j, m):
         path = paths[calls[0] % 2]
         calls[0] += 1
-        count = in_neighbours(graph, i, j)
+        count = in_neighbours(graph, state, i, j, m)
         knn._FEW_ROWS = FORCE[path]
         t0 = time.thread_time_ns()
         out = update(graph, state, i, j, m)
