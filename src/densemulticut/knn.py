@@ -675,16 +675,21 @@ class NNGraph:
         a build's, is built whole as a CSR.
         """
         w = ids.shape[1]
+        if rows.size == 1 and self.in_used:
+            # the exact repair's searches are mostly the merged node's alone:
+            # one row takes basic indexing, and it lists each target once,
+            # so its targets need no grouping
+            u, row = rows.item(0), ids[0]
+            self.nbr[u, :w] = row
+            self.sim[u, :w] = sims[0]
+            self.floor[u] = sims[0, -1] if from_full else INF
+            self._append(row[row >= 0], u)
+            return
         self.nbr[rows, :w] = ids
         self.sim[rows, :w] = sims
         self.floor[rows] = sims[:, -1] if from_full else INF
         if not self.in_used:
             self._index_rows()
-        elif rows.size == 1:
-            # one row lists each target once, so it needs no grouping; the
-            # exact repair's searches are mostly the merged node's alone
-            targets = ids[0]
-            self._append(targets[targets >= 0], rows.item(0))
         else:
             flat = ids.ravel()
             order = flat.argsort(kind="stable")
@@ -708,19 +713,20 @@ class NNGraph:
         segment holds its sources in id order. The segment of a node whose
         row holds an arc, an alive node, has room for k more sources."""
         flat = self.nbr.ravel()
-        order = flat.argsort(kind="stable")
-        # bin 0 counts the pads, which sort first
-        counts = np.bincount(flat + 1, minlength=self.capacity + 1)[1:]
-        arcs = order[order.size - int(counts.sum()) :]
+        # the pads sort first; the positions after them are the arcs', and
+        # become their sources in place
+        arcs = flat.argsort(kind="stable")[np.count_nonzero(flat < 0) :]
+        targets = flat[arcs]
+        counts = np.bincount(targets, minlength=self.capacity)
         spare = self.k * (self.nbr.max(axis=1) >= 0)
         np.cumsum(counts + spare, out=self.in_limit)
         np.subtract(self.in_limit, spare, out=self.in_end)
         np.subtract(self.in_end, counts, out=self.in_start)
         # the i-th arc in target order lands i places on, plus the room of
         # the segments before its target's
-        pos = (np.cumsum(spare) - spare)[flat[arcs]]
+        pos = np.take(np.cumsum(spare) - spare, targets, out=targets)
         pos += np.arange(arcs.size)
-        self.in_src[pos] = arcs // self.k
+        self.in_src[pos] = np.floor_divide(arcs, self.k, out=arcs)
         self.in_used = self.in_limit.item(-1)
 
     def _set_sources(self, t: int, sources) -> None:
@@ -742,14 +748,14 @@ class NNGraph:
         target, the targets sorted and grouped here, since several rows may
         list one target. Segments without room for their new entries move
         first (:meth:`_move`)."""
+        end = self.in_end[targets]
         if isinstance(sources, int):
-            count, rank = 1, 0
+            count, rank, pos = 1, 0, end
         else:
             first = targets.searchsorted(targets)
             count = targets.searchsorted(targets, "right") - first
             rank = np.arange(targets.size) - first
-        end = self.in_end[targets]
-        pos = end + rank
+            pos = end + rank
         if np.count_nonzero(pos >= self.in_limit[targets]):
             if not self._move(targets, end + count):
                 return
