@@ -6,18 +6,19 @@ one row of ``k`` slots per node id, plus, per row, its floor and, per
 target, a segment of the reverse index. A row written by an exhaustive
 search has the k-th similarity that search found as its floor, or ``-inf``
 when it listed every candidate; any other row, and every empty or unused
-id, has the floor ``+inf``. The candidate queue keeps one entry per node, the best arc
-of its row, and the contraction loop takes the argmax over those entries.
+id, has the floor ``+inf``. The candidate queue keeps one entry per node,
+the best arc of its row, and the contraction loop takes the argmax over
+those entries.
 
 The reverse index is arrays only: each target's segment of one int32
 arena lists every node that pointed at it since the segment was written,
 and a lookup keeps the sources still alive. That is exact because an arc
 leaves a row only when one of its ends dies, and a row is written only
-while it is empty. A build writes the index as one CSR from a stable
-argsort of ``nbr``; a merged node's in-list is written as one slice; any
-other arc is appended to its target's segment, which moves to the arena's
-end when full; a full arena is compacted by building the CSR again from
-``nbr`` (:class:`NNGraph`).
+while it is empty. A build writes the index as one CSR from one sort of
+``nbr``'s arcs by target; a merged node's in-list is written as one
+slice; any other arc is appended to its target's segment, which moves to
+the arena's end when full; a full arena is compacted by building the CSR
+again from ``nbr`` (:class:`NNGraph`).
 
 After contracting an arc the graph is repaired in one loop: the parents'
 rows are emptied, their segments give the rows that pointed at them
@@ -610,7 +611,7 @@ class NNGraph:
     this) needs the index rebuilt from the rows (:meth:`_index_rows`).
 
     - Rows written to an empty index, a build's, are indexed whole as one
-      CSR from a stable argsort of the flattened ``nbr``
+      CSR from one sort of the arcs of ``nbr`` by target
       (:meth:`_index_rows`): each segment holds its sources in id order,
       and an alive node's segment has room for k more.
     - A merged node's in-list, the rows that took it, is written as one
@@ -626,7 +627,8 @@ class NNGraph:
     most ``(capacity + 1) / 2`` nodes of a solve are alive at once, so an
     arena of ``_ARENA · k · (capacity + 1)`` entries holds a compaction for
     any ``_ARENA >= 1``; the rest is room for slices and moves. The index
-    takes ``4·_ARENA·k·(capacity + 1) + 24·capacity`` bytes.
+    takes ``4·_ARENA·k·(capacity + 1) + 12·capacity`` bytes: the arena,
+    allocated by the first index build, and three int32 offsets per id.
     """
 
     def __init__(self, k: int, capacity: int) -> None:
@@ -636,10 +638,12 @@ class NNGraph:
         self.nbr = np.full((capacity, k), -1, dtype=np.int64)
         self.sim = np.full((capacity, k), -INF)
         self.floor = np.full(capacity, INF)
-        self.in_start = np.zeros(capacity, dtype=np.int64)
-        self.in_end = np.zeros(capacity, dtype=np.int64)
-        self.in_limit = np.zeros(capacity, dtype=np.int64)
-        self.in_src = np.empty(_ARENA * k * (capacity + 1), dtype=np.int32)
+        self.in_start = np.zeros(capacity, dtype=np.int32)
+        self.in_end = np.zeros(capacity, dtype=np.int32)
+        self.in_limit = np.zeros(capacity, dtype=np.int32)
+        # allocated by the first index build, after the build's search has
+        # freed its blocks, so that the two never share a peak
+        self.in_src = np.empty(0, dtype=np.int32)
         self.in_used = 0
 
     @property
@@ -683,7 +687,8 @@ class NNGraph:
             self.nbr[u, :w] = row
             self.sim[u, :w] = sims[0]
             self.floor[u] = sims[0, -1] if from_full else INF
-            self._append(row[row >= 0], u)
+            # a ranked row's pads come last, so only a short row has any
+            self._append(row if row.item(-1) >= 0 else row[row >= 0], u)
             return
         self.nbr[rows, :w] = ids
         self.sim[rows, :w] = sims
@@ -708,25 +713,32 @@ class NNGraph:
             self._append(np.array(ids), int(u))
 
     def _index_rows(self) -> None:
-        """Build the reverse index from ``nbr`` as one CSR. One stable
-        argsort of the flattened rows groups the arcs by target, so each
-        segment holds its sources in id order. The segment of a node whose
-        row holds an arc, an alive node, has room for k more sources."""
+        """Build the reverse index from ``nbr`` as one CSR. One sort of a
+        key per arc, its target times the number of cells plus its cell,
+        groups the arcs by target with their sources in id order; the keys
+        are distinct, so any sort gives that order, and one of int64 keys
+        costs less than a stable argsort. The segment of a node whose row
+        holds an arc, an alive node, has room for k more sources."""
+        if not self.in_src.size:
+            self.in_src = np.empty(_ARENA * self.k * (self.capacity + 1), dtype=np.int32)
         flat = self.nbr.ravel()
-        # the pads sort first; the positions after them are the arcs', and
-        # become their sources in place
-        arcs = flat.argsort(kind="stable")[np.count_nonzero(flat < 0) :]
-        targets = flat[arcs]
+        arcs = np.flatnonzero(flat >= 0)
+        keys = flat[arcs]
+        keys *= flat.size
+        keys += arcs
+        keys.sort()
+        targets, sources = np.divmod(keys, flat.size, out=(keys, arcs))
+        sources //= self.k
         counts = np.bincount(targets, minlength=self.capacity)
-        spare = self.k * (self.nbr.max(axis=1) >= 0)
+        spare = self.k * (np.bincount(sources, minlength=self.capacity) > 0)
         np.cumsum(counts + spare, out=self.in_limit)
         np.subtract(self.in_limit, spare, out=self.in_end)
         np.subtract(self.in_end, counts, out=self.in_start)
         # the i-th arc in target order lands i places on, plus the room of
         # the segments before its target's
         pos = np.take(np.cumsum(spare) - spare, targets, out=targets)
-        pos += np.arange(arcs.size)
-        self.in_src[pos] = np.floor_divide(arcs, self.k, out=arcs)
+        pos += np.arange(pos.size)
+        self.in_src[pos] = sources
         self.in_used = self.in_limit.item(-1)
 
     def _set_sources(self, t: int, sources) -> None:
@@ -1002,7 +1014,7 @@ def _in_neighbours(graph: NNGraph, alive: np.ndarray, i: int, j: int, m: int) ->
     # m is alive, i and j are kept by hand
     keep = alive[rows]
     keep[:2] = True
-    np.logical_and(keep[4:], nin[1:] != nin[:-1], out=keep[4:])
+    keep[4:] &= nin[1:] != nin[:-1]
     return rows[keep]
 
 

@@ -82,15 +82,15 @@ bound ``G + max(S, 16·k·n + C)`` in bytes, for n alive nodes and
 ``cap = 2n - 1`` ids; the search's transients are freed before the index
 is written, which holds the search's ``(n, k)`` lists and its own:
 
-- ``G = (16k + 8)·cap + 4·_ARENA·k·(cap + 1) + 24·cap + 16·cap + 8·n``, what
+- ``G = (16k + 8)·cap + 4·_ARENA·k·(cap + 1) + 12·cap + 16·cap + 8·n``, what
   the build returns and its alive ids: ``nbr``, ``sim`` and ``floor``, the
-  reverse index (its int32 arena and three int64 offsets per id), the
+  reverse index (its int32 arena and three int32 offsets per id), the
   queue's two entries per id, and the alive ids;
 - ``S``, the ``--build`` bound of the screened search the build makes;
-- ``C = 16·k·cap + 32·k·n + 48·cap``, the transients of writing the index
-  as one CSR: the argsort of the flattened rows and one shifted copy of
-  them, four arrays of one entry per arc (at most k·n arcs) and six of one
-  entry per id.
+- ``C = k·cap + 24·k·n + 56·cap``, the transients of writing the index
+  as one CSR: a mask of the flattened rows, three int64 arrays of one
+  entry per arc (at most k·n arcs: the arcs' cells, their sort keys and
+  their ranks) and seven of one entry per id.
 
 The exit code is 1 when any peak exceeds its bound, else 0.
 
@@ -170,9 +170,35 @@ def build_bound(state, nq: int, k: int, gathered: int) -> int:
     return nq * k * 16 + n * dim * 4 + 2 * rows * n * 4 + nq * 32 + gathered * (16 * dim + 256)
 
 
-def build_main() -> int:
+def screened_peak(call):
+    """``call()`` under ``tracemalloc``, counting the entries each screened
+    block gathers; returns its result, the traced peak in bytes and the
+    list of those counts, empty when no block was screened."""
     import tracemalloc
 
+    from densemulticut import knn
+
+    above = knn._above_threshold
+    gathered: list[int] = []
+
+    def counting(sims, k, slack=None):
+        out = above(sims, k, slack)
+        if slack is not None:
+            gathered.append(out[0].size)
+        return out
+
+    knn._above_threshold = counting
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        knn._above_threshold = above
+    return result, peak, gathered
+
+
+def build_main() -> int:
     import numpy as np
 
     from densemulticut import knn
@@ -191,15 +217,6 @@ def build_main() -> int:
         ]
         return np.concatenate([p.ids for p in parts]), np.concatenate([p.sims for p in parts])
 
-    above = knn._above_threshold
-    gathered: list[int] = []
-
-    def counting(sims, k, slack=None):
-        out = above(sims, k, slack)
-        if slack is not None:
-            gathered.append(out[0].size)
-        return out
-
     print(
         f"_BLOCK = {knn._BLOCK}, _SCREEN_CELLS = {knn._SCREEN_CELLS}, "
         f"_SCREEN_FLOOR = {knn._SCREEN_FLOOR}, seed {BUILD_SEED}"
@@ -213,15 +230,7 @@ def build_main() -> int:
         queries = state.alive_ids()
         for k in BUILD_KS:
             screened_s = median_s(lambda: knn.topk_batch(state, queries, k))
-            gathered.clear()
-            knn._above_threshold = counting
-            tracemalloc.start()
-            try:
-                got = knn.topk_batch(state, queries, k)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-                knn._above_threshold = above
+            got, peak, gathered = screened_peak(lambda: knn.topk_batch(state, queries, k))
             bound = build_bound(state, queries.size, k, max(gathered, default=0))
             over += peak > bound
             result = "within" if peak <= bound else "OVER"
@@ -346,13 +355,11 @@ def graph_bound(n: int, k: int, search: int) -> int:
     from densemulticut import knn
 
     cap = 2 * n - 1
-    graph = (16 * k + 8) * cap + 4 * knn._ARENA * k * (cap + 1) + 24 * cap + 16 * cap + 8 * n
-    return graph + max(search, 16 * k * n + 16 * k * cap + 32 * k * n + 48 * cap)
+    graph = (16 * k + 8) * cap + 4 * knn._ARENA * k * (cap + 1) + 12 * cap + 16 * cap + 8 * n
+    return graph + max(search, 16 * k * n + k * cap + 24 * k * n + 56 * cap)
 
 
 def graph_main() -> int:
-    import tracemalloc
-
     import numpy as np
 
     from densemulticut import knn
@@ -366,15 +373,6 @@ def graph_main() -> int:
     instances.append(
         ("synth_rows", FeatureMatrix(synth_rows(GRAPH_SIZE, 32, 20, 0.1, seed=1).astype(np.float32)))
     )
-    above = knn._above_threshold
-    gathered: list[int] = []
-
-    def counting(sims, k, slack=None):
-        out = above(sims, k, slack)
-        if slack is not None:
-            gathered.append(out[0].size)
-        return out
-
     print(f"seed {BUILD_SEED}, sign {bench.SIGN.value}, _ARENA = {knn._ARENA}")
     print(f"{'instance':>28} {'k':>2} {'index_mb':>8} {'peak_mb':>8} {'bound_mb':>8} result")
     over = 0
@@ -383,15 +381,7 @@ def graph_main() -> int:
         n = state.n_alive
         for k in BUILD_KS:
             knn.build_nn_graph(state, k)
-            gathered.clear()
-            knn._above_threshold = counting
-            tracemalloc.start()
-            try:
-                graph, _ = knn.build_nn_graph(state, k)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-                knn._above_threshold = above
+            (graph, _), peak, gathered = screened_peak(lambda: knn.build_nn_graph(state, k))
             index = graph.in_src.nbytes + 3 * graph.in_start.nbytes
             del graph
             search = build_bound(state, n, k, max(gathered, default=0))
