@@ -741,7 +741,7 @@ class NNGraph:
         self.in_src[pos] = sources
         self.in_used = self.in_limit.item(-1)
 
-    def _set_sources(self, t: int, sources) -> None:
+    def _set_sources(self, t: int, sources: np.ndarray | list[int]) -> None:
         """Write the segment of t, a fresh id, as one slice at the arena's
         end, with no room to spare."""
         a = self.in_used
