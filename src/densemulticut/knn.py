@@ -128,8 +128,13 @@ _FEW_ENTRIES = 32
 _FEW_ROWS = 13
 # Entries of the reverse index's arena per arc slot of the NN graph; at
 # least 1, so that a compaction always fits. The rest is room for the
-# segments written and moved between compactions.
-_ARENA = 4
+# segments written and moved between compactions. Compactions per solve at
+# 1 / 2 / 4 (seed 1): clustered-greedy dgaec 19 / 1 / 0 and dgaec-inc
+# 11 / 1 / 0, clustered-lazy 15 / 1 / 0, diffuse-lazy none; the State
+# instance at n = 50000, dlaec and dapplaec, 169-180 / 8 / 3, at 8.4 ms
+# each. So 2 costs at most 0.4 ms a solve more than 4, and half the memory:
+# 8·k bytes per id.
+_ARENA = 2
 
 
 def _rank_key(arc: tuple[int, float]) -> tuple[float, int]:
@@ -615,11 +620,13 @@ class NNGraph:
       (:meth:`_index_rows`): each segment holds its sources in id order,
       and an alive node's segment has room for k more.
     - A merged node's in-list, the rows that took it, is written as one
-      slice at the arena's end (:meth:`_set_sources`).
+      slice (:meth:`_set_sources`) into the room of the roomier of its
+      parents' segments, which no lookup reads again, or at the arena's
+      end when it does not fit there.
     - Any other arc, the merged node's own and those of the rows the exact
-      repair searches, is appended to its target's segment
-      (:meth:`_append`). A full segment moves to the arena's end with room
-      for twice the length it needs (:meth:`_move`).
+      repair searches, is appended to its target's segment, one row's arcs
+      at a time (:meth:`_append`). A full segment moves to the arena's end
+      with room for twice the length it needs (:meth:`_move`).
     - When the arena has no room for a slice or a move, it is compacted:
       the CSR is built again from ``nbr``, which then holds every arc.
 
@@ -679,29 +686,20 @@ class NNGraph:
         a build's, is built whole as a CSR.
         """
         w = ids.shape[1]
-        if rows.size == 1 and self.in_used:
-            # the exact repair's searches are mostly the merged node's alone:
-            # one row takes basic indexing, and it lists each target once,
-            # so its targets need no grouping
-            u, row = rows.item(0), ids[0]
+        if not self.in_used:
+            self.nbr[rows, :w] = ids
+            self.sim[rows, :w] = sims
+            self.floor[rows] = sims[:, -1] if from_full else INF
+            self._index_rows()
+            return
+        # the rows of a repair were each just searched over every alive
+        # node, which costs far more than writing them one at a time
+        for u, row, row_sims in zip(rows.tolist(), ids, sims):
             self.nbr[u, :w] = row
-            self.sim[u, :w] = sims[0]
-            self.floor[u] = sims[0, -1] if from_full else INF
+            self.sim[u, :w] = row_sims
+            self.floor[u] = row_sims.item(-1) if from_full else INF
             # a ranked row's pads come last, so only a short row has any
             self._append(row if row.item(-1) >= 0 else row[row >= 0], u)
-            return
-        self.nbr[rows, :w] = ids
-        self.sim[rows, :w] = sims
-        self.floor[rows] = sims[:, -1] if from_full else INF
-        if not self.in_used:
-            self._index_rows()
-        else:
-            flat = ids.ravel()
-            order = flat.argsort(kind="stable")
-            targets = flat[order]
-            # pads sort first
-            lo = targets.searchsorted(0)
-            self._append(targets[lo:], rows[order[lo:] // w])
 
     def fill_row(self, u: int, arcs: list[tuple[int, float]]) -> None:
         """Write ``arcs`` into u's row, which must hold none, and list u in
@@ -710,7 +708,7 @@ class NNGraph:
             ids = [t for t, _ in arcs]
             self.nbr[u, : len(arcs)] = ids
             self.sim[u, : len(arcs)] = [s for _, s in arcs]
-            self._append(np.array(ids), int(u))
+            self._append(np.array(ids), u)
 
     def _index_rows(self) -> None:
         """Build the reverse index from ``nbr`` as one CSR. One sort of a
@@ -741,62 +739,61 @@ class NNGraph:
         self.in_src[pos] = sources
         self.in_used = self.in_limit.item(-1)
 
-    def _set_sources(self, t: int, sources: np.ndarray | list[int]) -> None:
-        """Write the segment of t, a fresh id, as one slice at the arena's
-        end, with no room to spare."""
-        a = self.in_used
+    def _set_sources(self, m: int, i: int, j: int, sources: np.ndarray | list[int]) -> None:
+        """Write the segment of m, merged from i and j, as one slice. The
+        parents are dead, so no lookup reads their segments again: m takes
+        over the room of the roomier one when the slice fits there, and
+        otherwise the slice goes to the arena's end with no room to spare."""
+        start, end, limit = self.in_start, self.in_end, self.in_limit
+        p = i if limit.item(i) - start.item(i) >= limit.item(j) - start.item(j) else j
+        a, c = start.item(p), limit.item(p)
         b = a + len(sources)
-        if b > self.in_src.size:
-            # the rows already hold t's arcs
-            self._index_rows()
-            return
-        self.in_src[a:b] = sources
-        self.in_start[t] = a
-        self.in_end[t] = self.in_limit[t] = self.in_used = b
-
-    def _append(self, targets: np.ndarray, sources: int | np.ndarray) -> None:
-        """List ``sources`` in the segments of ``targets``: one ``int``
-        source for all, whose targets are then distinct, or one source per
-        target, the targets sorted and grouped here, since several rows may
-        list one target. Segments without room for their new entries move
-        first (:meth:`_move`)."""
-        end = self.in_end[targets]
-        if isinstance(sources, int):
-            count, rank, pos = 1, 0, end
+        if b <= c:
+            end[p] = limit[p] = a
         else:
-            first = targets.searchsorted(targets)
-            count = targets.searchsorted(targets, "right") - first
-            rank = np.arange(targets.size) - first
-            pos = end + rank
-        if np.count_nonzero(pos >= self.in_limit[targets]):
-            if not self._move(targets, end + count):
+            a, b = self.in_used, self.in_used + len(sources)
+            if b > self.in_src.size:
+                # the rows already hold m's arcs
+                self._index_rows()
+                return
+            c = self.in_used = b
+        self.in_src[a:b] = sources
+        start[m], end[m], limit[m] = a, b, c
+
+    def _append(self, targets: np.ndarray, u: int) -> None:
+        """List u in the segments of ``targets``, the distinct ends of the
+        arcs of u's row, which is written. Segments without room for one
+        more entry move first (:meth:`_move`)."""
+        end = self.in_end[targets]
+        if np.count_nonzero(end >= self.in_limit[targets]):
+            if not self._move(targets, end):
                 return
             end = self.in_end[targets]
-            pos = end + rank
-        self.in_src.put(pos, sources)
-        self.in_end[targets] = end + count
+        self.in_src.put(end, u)
+        end += 1
+        self.in_end[targets] = end
 
     def _move(self, targets: np.ndarray, ends: np.ndarray) -> bool:
-        """Move every segment of ``targets`` (which may repeat) that
-        cannot reach the entry in ``ends`` to the arena's end, with room for
-        twice the length it then needs. When the arena lacks that room it is
-        compacted from the rows instead, which already hold the arcs being
-        added, and ``False`` is returned."""
-        start, limit = self.in_start, self.in_limit
+        """Move every segment of ``targets`` that is full, its end given in
+        ``ends``, to the arena's end, with room for twice the length one
+        more entry gives it. When the arena lacks that room it is compacted from the rows
+        instead, which already hold the arcs being added, and ``False`` is
+        returned."""
+        start, end, limit = self.in_start, self.in_end, self.in_limit
         moves = [
-            (t, e - start.item(t))
-            for t, e in dict(zip(targets.tolist(), ends.tolist())).items()
-            if e > limit.item(t)
+            (t, e + 1 - start.item(t))
+            for t, e in zip(targets.tolist(), ends.tolist())
+            if e >= limit.item(t)
         ]
         a = self.in_used
         if a + 2 * sum(n for _, n in moves) > self.in_src.size:
             self._index_rows()
             return False
         for t, n in moves:
-            s, e = start.item(t), self.in_end.item(t)
+            s, e = start.item(t), end.item(t)
             self.in_src[a : a + e - s] = self.in_src[s:e]
             start[t] = a
-            self.in_end[t] = a + e - s
+            end[t] = a + e - s
             a += 2 * n
             limit[t] = a
         self.in_used = a
@@ -1062,8 +1059,11 @@ def incremental_update(
         merged_arcs = sorted(passing, key=_rank_key)[:k]
     # m is a fresh id, so its row is empty
     graph.fill_row(m, merged_arcs)
-    best_dst = np.full(rows.size, -1, dtype=np.int64)
-    best_sim = np.full(rows.size, -INF)
+    # the in-neighbours' entries come from the repair
+    best_dst = np.empty(rows.size, dtype=np.int64)
+    best_sim = np.empty(rows.size)
+    best_dst[:3] = -1
+    best_sim[:3] = -INF
     if merged_arcs:
         best_dst[2], best_sim[2] = merged_arcs[0]
     insertions = 0
@@ -1133,7 +1133,7 @@ def _repair_rows(
             # an empty row's cells are all (-1, -inf), so it gets -1
             best_dst.append(min(t for t, s in zip(ts, ss) if s == top))
     if added:
-        graph._set_sources(m, added)
+        graph._set_sources(m, i, j, added)
     return best_dst, best_sim, len(added)
 
 
@@ -1177,7 +1177,7 @@ def _repair_block(
     graph.nbr[q_ids] = nbr
     graph.sim[q_ids] = sim
     if cells.size:
-        graph._set_sources(m, q_ids[passes])
+        graph._set_sources(m, i, j, q_ids[passes])
     return (*_row_best(sim, nbr), cells.size)
 
 
@@ -1221,8 +1221,11 @@ def exhaustive_update(
     graph._clear_row(j)
     rows = _in_neighbours(graph, state.alive, i, j, m)
     q_ids = rows[3:]
-    best_dst = np.full(rows.size, -1, dtype=np.int64)
-    best_sim = np.full(rows.size, -INF)
+    # the in-neighbours' entries come from the repair, m's from its search
+    best_dst = np.empty(rows.size, dtype=np.int64)
+    best_sim = np.empty(rows.size)
+    best_dst[:3] = -1
+    best_sim[:3] = -INF
     insertions = 0
     if q_ids.size:
         # as in incremental_update: each entry has the bits of sim(q, m)

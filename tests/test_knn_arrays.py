@@ -3,6 +3,7 @@ block top-k, the selection helper, the queue entries the graph updates
 compute, the two in-neighbour block paths of the lazy update and the tie
 contract under exact similarity ties."""
 
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -586,29 +587,41 @@ class TestReverseIndex:
         with mock.patch.object(knn, "_ARENA", 1):
             contract_randomly(update, k, n, d, values, sign, seed, check_lookups)
 
-    @pytest.mark.parametrize("update", ["lazy", "exhaustive"])
-    def test_small_arena_moves_segments_and_compacts(self, update):
-        moves, builds = [], []
-        move, index_rows = knn.NNGraph._move, knn.NNGraph._index_rows
+    def test_small_arena_takes_every_index_path(self):
+        # the lazy repair's slices fit in a parent's room on inputs this
+        # small, so only the exact repair, at k = 1, reaches every path
+        seen = Counter()
+        set_sources, move = knn.NNGraph._set_sources, knn.NNGraph._move
+        index_rows = knn.NNGraph._index_rows
+
+        def counted_set_sources(graph, *args):
+            used, compactions = graph.in_used, seen["compaction"]
+            set_sources(graph, *args)
+            if seen["compaction"] > compactions:
+                seen["slice compacts"] += 1
+            else:
+                seen["slice at the end" if graph.in_used > used else "slice in a parent"] += 1
 
         def counted_move(graph, *args):
-            moves.append(move(graph, *args))
-            return moves[-1]
+            moved = move(graph, *args)
+            seen["move" if moved else "move compacts"] += 1
+            return moved
 
         def counted_index_rows(graph):
-            builds.append(graph.in_used)
+            seen["compaction" if graph.in_used else "build"] += 1
             index_rows(graph)
 
         with (
             mock.patch.object(knn, "_ARENA", 1),
+            mock.patch.object(knn.NNGraph, "_set_sources", counted_set_sources),
             mock.patch.object(knn.NNGraph, "_move", counted_move),
             mock.patch.object(knn.NNGraph, "_index_rows", counted_index_rows),
         ):
-            contract_randomly(update, 5, 40, 3, "continuous", AlphaSign.MINUS, 1, check_lookups)
-        # a move that finds no room compacts instead; the first build finds
-        # the arena empty, every later one compacts it
-        assert any(moves)
-        assert builds[0] == 0 and len(builds) > 1
+            contract_randomly(
+                "exhaustive", 1, 80, 3, "continuous", AlphaSign.MINUS, 1, check_lookups
+            )
+        paths = ["slice in a parent", "slice at the end", "slice compacts", "move", "move compacts"]
+        assert seen["build"] == 1 and all(seen[p] for p in paths), seen
 
 
 class TestTieContract:
