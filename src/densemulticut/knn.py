@@ -763,7 +763,18 @@ class NNGraph:
     def _append(self, targets: np.ndarray, u: int) -> None:
         """List u in the segments of ``targets``, the distinct ends of the
         arcs of u's row, which is written. Segments without room for one
-        more entry move first (:meth:`_move`)."""
+        more entry move first (:meth:`_move`).
+
+        A row of one arc, as every row at k = 1, is listed with scalar reads
+        and writes while its target's segment has room: numpy's fixed cost
+        per call is most of the cost of appending one entry."""
+        if targets.size == 1:
+            t = targets.item(0)
+            e = self.in_end.item(t)
+            if e < self.in_limit.item(t):
+                self.in_src[e] = u
+                self.in_end[t] = e + 1
+                return
         end = self.in_end[targets]
         if np.count_nonzero(end >= self.in_limit[targets]):
             if not self._move(targets, end):
