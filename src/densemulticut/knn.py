@@ -753,7 +753,7 @@ class NNGraph:
         else:
             a, b = self.in_used, self.in_used + len(sources)
             if b > self.in_src.size:
-                # the rows already hold m's arcs
+                # the rows already hold their arcs to m
                 self._index_rows()
                 return
             c = self.in_used = b
