@@ -28,12 +28,16 @@ the changed rows are computed from what the repair holds, so the queue
 takes them without reading the graph again. The repairs differ only in
 which rows take the merged node and which rows are searched:
 
-- The exact repair, for ``dgaec`` and ``dgaec-inc``, gives a row the
-  merged node strictly above the row's floor, and searches the merged node
-  and the rows left with no arc in one call to :func:`topk_batch`. Every
-  pair of alive nodes stays covered by the row of the node searched later,
-  so the best arc over all rows is the best pair over all alive nodes, as
-  the sparse greedy baseline finds it.
+- The exact repair, for ``dgaec`` and ``dgaec-inc``, takes the merged
+  node's similarities to every alive node from one product
+  (:func:`_merged_sims`). A row gets the merged node strictly above the
+  row's floor, reading its similarity from that product, and the merged
+  node's own row is cut from the same product, so the two copies of a
+  similarity have the same bits. Only the rows left with no arc are
+  searched, in one call to :func:`topk_batch`. Every pair of alive nodes
+  stays covered by the row of the node searched later, so the best arc
+  over all rows is the best pair over all alive nodes, as the sparse
+  greedy baseline finds it.
 - The lazy repair, for ``dlaec`` and ``dapplaec``, searches nothing: the
   merged node's neighbours are filtered from its parents' lists by an
   upper bound on its similarity to every other node, and a row takes the
@@ -44,9 +48,9 @@ Both repair the in-neighbour block with :func:`_repair_block`, a handful
 of whole-block numpy calls, except the lazy repair's blocks of at most
 ``_FEW_ROWS`` rows, most merges on unclustered rows, where numpy's fixed
 cost per call outweighs its speed per row: a Python loop repairs those row
-by row. Both paths take every similarity to the merged node from one
-matrix product over the sorted rows, so they write the same bits; a
-separate dot product per row can round differently.
+by row. The lazy repair's two paths take every similarity to the merged
+node from one matrix product over the sorted rows, so they write the same
+bits; a separate dot product per row can round differently.
 
 Every ranking breaks similarity ties toward the smaller node id, and a
 selection cut to ``k`` first keeps every candidate tied with the k-th
@@ -75,20 +79,21 @@ queries, or the merged node's row, never a second array of all rows. The
 exact searches multiply query rows straight against ``packed[:n_alive]``,
 whose columns are not in id order. The selection ranks ids in any order,
 so the order of the columns changes no ranking. A search of at most
-``_BLOCK`` queries, such as a merge's one- or two-row search, is one
-float64 product that goes straight into the cut; its similarity bits can
-depend on the column's position and on how many query rows share the
-product, since a BLAS may round a one-row product differently from a
-product of several rows (OpenBLAS does). A larger search, every graph
-build, is screened: each block of queries is multiplied in float32 and cut
-under a rigorous bound on the rounding error, and the few entries that may
-rank are rescored in float64 one pair at a time and ranked. The selection
-is exact, every similarity is a float64 inner product, and its bits depend
-on the pair alone, not on the blocking. So a block takes as many queries
-as keep its product near a fixed budget, ``_SCREEN_CELLS`` float32 cells,
-and a build's transient memory does not grow with the number of queries
-times the number of alive rows. The graph and the queue are allocated
-once, one row per node id the solve can create.
+``_BLOCK`` queries, such as the search of a merge's rows left with no
+arc, is one float64 product that goes straight into the cut; its
+similarity bits can depend on the column's position and on how many query
+rows share the product, since a BLAS may round a one-row product
+differently from a product of several rows (OpenBLAS does). A larger
+search, every graph build, is screened: each block of queries is
+multiplied in float32 and cut under a rigorous bound on the rounding
+error, and the few entries that may rank are rescored in float64 one pair
+at a time and ranked. The selection is exact, every similarity is a
+float64 inner product, and its bits depend on the pair alone, not on the
+blocking. So a block takes as many queries as keep its product near a
+fixed budget, ``_SCREEN_CELLS`` float32 cells, and a build's transient
+memory does not grow with the number of queries times the number of alive
+rows. The graph and the queue are allocated once, one row per node id the
+solve can create.
 """
 
 from __future__ import annotations
@@ -305,11 +310,17 @@ def _row_best(sims: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray
     column, and the columns are not in id order, so only a row whose
     maximum recurs needs the masked minimum over its ids. A row with no
     finite entry gets ``-inf`` and the id of its first column, which is the
-    ``-1`` pad in a graph row. Returns ``(ids, sims)``, one entry per row.
+    ``-1`` pad in a graph row. A block of one column with per-row ids, a
+    graph block at k = 1 such as ``dgaec``'s repaired blocks and queue
+    refreshes, is returned as that column: each row's one entry is its
+    best, so the argmax, the gather and the count of ties are skipped.
+    Returns ``(ids, sims)``, one entry per row.
     """
     r, c = sims.shape
-    pos = sims.argmax(axis=1)
     per_row = ids.ndim == 2
+    if c == 1 and per_row:
+        return ids[:, 0], sims[:, 0]
+    pos = sims.argmax(axis=1)
     # flat positions: take on one index array costs less than a 2-d gather
     cell = pos + np.arange(0, r * c, c)
     top = sims.take(cell)
@@ -407,11 +418,11 @@ def block_topk(
     ``sign`` is ``None``; the sign is applied to each block's gathered copy,
     so no query row outlives its block. ``ids[c]`` names database row ``c``;
     query ``r`` skips its own row, ``queries[r]``. At most ``_BLOCK``
-    queries, such as a merge's one- or two-row search, are one block: one
-    float64 product, in the order given, cut whole by :func:`select_rows`
-    and returned as it is. A BLAS may round a product of one query row
-    differently from one of several, so these similarity bits depend on the
-    block.
+    queries, such as a merge's search of its rows left with no arc, are one
+    block: one float64 product, in the order given, cut whole by
+    :func:`select_rows` and returned as it is. A BLAS may round a product of
+    one query row differently from one of several, so these similarity bits
+    depend on the block.
 
     More queries, every graph build, are screened block by block into
     arrays allocated once (:func:`_screen_block`): each block is multiplied
@@ -1204,9 +1215,13 @@ def exhaustive_update(
 
     Every alive row must come from an exhaustive search, possibly since
     repaired here, with its floor (:class:`NNGraph`). The merged node is
-    searched. A node that listed i or j drops those arcs and takes m in its
-    first freed slot when ``sim(u, m)`` is strictly above its floor;
-    otherwise it keeps its surviving arcs. Only a row left with no arc is
+    searched: one product of its query row against every alive row gives
+    ``s_m``, its similarity to each (:func:`_merged_sims`). A node u that
+    listed i or j drops those arcs and takes m in its first freed slot when
+    ``sim(u, m)``, read from ``s_m`` at u's slot, is strictly above its
+    floor; otherwise it keeps its surviving arcs. m's row is cut from
+    ``s_m`` by :func:`select_rows`, so a row that takes m and m's row hold
+    the same bits of their similarity. Only a row left with no arc is
     searched again.
 
     Every pair of alive nodes stays covered by the row of the one searched
@@ -1219,37 +1234,50 @@ def exhaustive_update(
     greedy baseline picks.
 
     The in-neighbour rows are repaired by :func:`_repair_block` under the
-    floor rule; when m has no in-neighbours the block work is skipped. m
-    and the rows left empty are searched in one call to :func:`topk_batch`,
-    m first, and :meth:`NNGraph.set_rows` writes all of their rows, which
-    are empty, with their floors. The batch carries every changed row's new
-    queue entry, taken from the repaired block or the search results.
-    Returns (the batch, number of exhaustive searches performed, m's
-    included).
+    floor rule; when m has no in-neighbours the block work is skipped. The
+    rows left empty are searched in one call to :func:`topk_batch`, none
+    when no row is left empty, and :meth:`NNGraph.set_rows` writes m's row
+    and theirs, which are empty, with their floors. The batch carries every
+    changed row's new queue entry, taken from the repaired block, m's row
+    or the search results. Returns (the batch, number of exhaustive
+    searches performed, m's included: one plus the rows searched again).
     """
     state.check_alive(m)
     graph._clear_row(i)
     graph._clear_row(j)
     rows = _in_neighbours(graph, state.alive, i, j, m)
     q_ids = rows[3:]
-    # the in-neighbours' entries come from the repair, m's from its search
+    s_m = _merged_sims(state, m)
+    # the in-neighbours' entries come from the repair, m's from its row
     best_dst = np.empty(rows.size, dtype=np.int64)
     best_sim = np.empty(rows.size)
-    best_dst[:3] = -1
-    best_sim[:3] = -INF
+    best_dst[:2] = -1
+    best_sim[:2] = -INF
     insertions = 0
     if q_ids.size:
-        # as in incremental_update: each entry has the bits of sim(q, m)
-        sims_qm = state.query_row(m) @ state.packed.take(state.slot.take(q_ids), axis=0).T
         best_dst[3:], best_sim[3:], insertions = _repair_block(
-            graph, i, j, m, q_ids, sims_qm, graph.floor.take(q_ids)
+            graph, i, j, m, q_ids, s_m.take(state.slot.take(q_ids)), graph.floor.take(q_ids)
         )
-    # the nodes to search are m and the rows left empty, the entries still
-    # at -inf after i's and j's
-    searched = (best_sim == -INF).nonzero()[0][2:]
-    queries = rows[searched]
-    lists = topk_batch(state, queries, graph.k)
-    graph.set_rows(queries, lists.ids, lists.sims, from_full=True)
-    best_dst[searched] = lists.ids[:, 0]
-    best_sim[searched] = lists.sims[:, 0]
-    return ArcBatch(rows, best_sim, best_dst, insertions), queries.size
+    ids, sims = select_rows(s_m[None, :], state.order[: s_m.size], graph.k)
+    graph.set_rows(rows[2:3], ids, sims, from_full=True)
+    best_dst[2] = ids.item(0)
+    best_sim[2] = sims.item(0)
+    # the rows left with no arc are the in-neighbours' entries still at -inf
+    searched = (best_sim[3:] == -INF).nonzero()[0] + 3
+    if searched.size:
+        queries = rows[searched]
+        lists = topk_batch(state, queries, graph.k)
+        graph.set_rows(queries, lists.ids, lists.sims, from_full=True)
+        best_dst[searched] = lists.ids[:, 0]
+        best_sim[searched] = lists.sims[:, 0]
+    return ArcBatch(rows, best_sim, best_dst, insertions), 1 + searched.size
+
+
+def _merged_sims(state: ContractionState, m: int) -> np.ndarray:
+    """sim(m, u) for every alive row u, in slot order, from one product of
+    m's query row against ``packed[:n_alive]``, with m's own slot ``-inf``.
+    The entry of q's slot has the terms of sim(q, m) (q_m . d_q has those of
+    q_q . d_m), so a row that takes m and m's row share its bits."""
+    sims = state.packed[: state.n_alive] @ state.query_row(m)
+    sims[state.slot.item(m)] = -INF
+    return sims

@@ -36,13 +36,21 @@ def state_from(rows, alpha=None, sign=AlphaSign.OFF):
 
 
 def spy_searches(monkeypatch):
-    """Record every query node the repairs pass to ``knn.topk_batch``."""
+    """Record every node the exact repair searches: the merged node, whose
+    similarities to every alive row come from one product
+    (``knn._merged_sims``), and each row passed to ``knn.topk_batch``."""
     searched = []
+    merged_sims = knn._merged_sims
+
+    def spy_merged(state, m):
+        searched.append(m)
+        return merged_sims(state, m)
 
     def spy(state, queries, k):
         searched.extend(np.asarray(queries).tolist())
         return topk_batch(state, queries, k)
 
+    monkeypatch.setattr(knn, "_merged_sims", spy_merged)
     monkeypatch.setattr(knn, "topk_batch", spy)
     return searched
 
@@ -408,6 +416,7 @@ class TestExhaustiveUpdate:
         searched = spy_searches(monkeypatch)
         m = state.contract(1, 2)
         exhaustive_update(graph, state, 1, 2, m)
+        assert searched.count(m) == 1
         exact = topk_exact(state, 0, k)
         if k == 1:
             assert 0 in searched

@@ -4,6 +4,7 @@ compute, the two in-neighbour block paths of the lazy update and the tie
 contract under exact similarity ties."""
 
 from collections import Counter
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -321,6 +322,34 @@ class TestSelectRows:
         np.testing.assert_array_equal(got_sims, want_sims)
 
 
+class TestRowBest:
+    # a graph block at k = 1 has one column with per-row ids, which
+    # _row_best returns as it is; widened by a pad column, the same block
+    # takes the general path, which must agree. Rows are empty (-1, -inf),
+    # an arc, or an arc masked to -inf as CandidateQueue.refresh masks a
+    # dead one
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(
+            st.one_of(
+                st.just((-1, -np.inf)),
+                st.tuples(st.integers(0, 50), st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0])),
+                st.tuples(st.integers(0, 50), st.floats(-1e3, 1e3)),
+            ),
+            max_size=12,
+        )
+    )
+    def test_one_column_equals_the_padded_block(self, entries):
+        ids = np.array([t for t, _ in entries], dtype=np.int64).reshape(-1, 1)
+        sims = np.array([s for _, s in entries], dtype=np.float64).reshape(-1, 1)
+        got_ids, got_sims = knn._row_best(sims, ids)
+        pad = np.full_like(ids, -1), np.full_like(sims, -np.inf)
+        want_ids, want_sims = knn._row_best(np.hstack([sims, pad[1]]), np.hstack([ids, pad[0]]))
+        np.testing.assert_array_equal(got_ids, want_ids)
+        np.testing.assert_array_equal(bits(got_sims), bits(want_sims))
+        np.testing.assert_array_equal(got_ids, ids[:, 0])
+
+
 class TestArrayGraph:
     def test_best_arc_skips_a_dead_best_target_without_a_push(self):
         fm = make_instance(30, 3, seed=8, alpha=0.4, sign=AlphaSign.PLUS)
@@ -433,13 +462,20 @@ class TestUpdateEntries:
                 i, j, _ = arc
             m = state.contract(i, j)
             if update != "lazy":
-                # every search, m's included, goes through topk_batch, which
-                # the solvers' and the benchmark tracer's search counts read
-                with mock.patch.object(knn, "topk_batch", wraps=topk_batch) as spy:
+                # m is searched by one product against every alive row, and
+                # every row left with no arc by topk_batch; the solvers'
+                # search counts read the repair's count of both
+                nbr, floor = graph.nbr.copy(), graph.floor.copy()
+                with (
+                    recorded_products() as products,
+                    mock.patch.object(knn, "topk_batch", wraps=topk_batch) as spy,
+                ):
                     batch, searches = exhaustive_update(graph, state, i, j, m)
+                assert [u for u, _ in products] == [m]
                 queries = [q for c in spy.call_args_list for q in np.atleast_1d(c.args[1])]
-                assert queries.count(m) == 1
-                assert searches == len(queries)
+                assert searches == 1 + len(queries)
+                s_m = products[0][1]
+                assert sorted(queries) == left_empty(state, nbr, floor, i, j, s_m)
                 assert graph.floor[m] < INF
                 graph.validate(state)
             else:
@@ -458,6 +494,33 @@ class TestUpdateEntries:
             assert best_arc(graph, queue, state) == brute_best_arc(graph, state)
             if update != "lazy" and values == "integer":
                 assert brute_best_arc(graph, state) == brute_best_pair(state)
+
+
+@contextmanager
+def recorded_products():
+    """Record ``(m, s_m)`` for every merged node m whose similarities the
+    exact repair takes from one product (``knn._merged_sims``)."""
+    products = []
+    merged_sims = knn._merged_sims
+
+    def recorded(state, m):
+        products.append((m, merged_sims(state, m)))
+        return products[-1][1]
+
+    with mock.patch.object(knn, "_merged_sims", recorded):
+        yield products
+
+
+def left_empty(state, nbr, floor, i, j, s_m):
+    """The alive rows of ``nbr`` that listed i or j and hold no other arc,
+    and whose ``floor`` sim(q, m), read from the merged node's product
+    ``s_m`` at q's slot, does not beat: the rows the exact repair of the
+    merge of (i, j) into m leaves with no arc."""
+    listed = (nbr == i) | (nbr == j)
+    rows = np.flatnonzero(listed.any(axis=1) & state.alive[: nbr.shape[0]])
+    bare = ((nbr[rows] < 0) | listed[rows]).all(axis=1)
+    below = s_m[state.slot[rows]] <= floor[rows]
+    return rows[bare & below].tolist()
 
 
 def bits(a):
@@ -564,6 +627,61 @@ def check_lookups(graph, state):
         want = np.flatnonzero((graph.nbr == t).any(axis=1))
         np.testing.assert_array_equal(got, want)
     graph.validate(state)
+
+
+class TestOneProduct:
+    # the exact repair takes sim(q, m) for the in-neighbour rows and m's own
+    # row from one product of m's query row against every alive row, s_m.
+    # So after every merge, a row q that took m without a search caches the
+    # bits of s_m at q's slot, and so does m's row wherever it lists q
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        d=st.integers(1, 4),
+        k=st.sampled_from([1, 3, 5]),
+        values=st.sampled_from(["integer", "continuous"]),
+        sign=st.sampled_from([AlphaSign.PLUS, AlphaSign.MINUS, AlphaSign.OFF]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_both_copies_of_sim_q_m_share_its_bits(self, n, d, k, values, sign, seed):
+        self._contract(k, n, d, values, sign, seed)
+
+    def test_rows_are_listed_both_ways(self):
+        # the property holds vacuously unless rows that took m are also in
+        # m's row; on this instance many are
+        taken = self._contract(3, 40, 2, "continuous", AlphaSign.MINUS, 1)
+        assert taken["both"] >= 10, taken
+
+    @staticmethod
+    def _contract(k, n, d, values, sign, seed):
+        """Contract as :func:`contract_randomly` does and check every merge;
+        returns the count of rows that took m and of those m lists too."""
+        taken = Counter()
+
+        def check(graph, state):
+            ((m, s_m),) = products
+            searched = {q for c in spy.call_args_list for q in np.atleast_1d(c.args[1]).tolist()}
+            products.clear()
+            spy.reset_mock()
+            arcs_m = dict(graph.arcs(m))
+            for t, s in arcs_m.items():
+                assert bits(s) == bits(s_m[state.slot[t]])
+            for q in np.flatnonzero((graph.nbr == m).any(axis=1)).tolist():
+                if q in searched:
+                    continue
+                s = graph.sim[q, graph.nbr[q].tolist().index(m)]
+                assert bits(s) == bits(s_m[state.slot[q]])
+                taken["rows"] += 1
+                if q in arcs_m:
+                    assert bits(arcs_m[q]) == bits(s)
+                    taken["both"] += 1
+
+        with (
+            recorded_products() as products,
+            mock.patch.object(knn, "topk_batch", wraps=topk_batch) as spy,
+        ):
+            contract_randomly("exhaustive", k, n, d, values, sign, seed, check)
+        return taken
 
 
 class TestReverseIndex:
