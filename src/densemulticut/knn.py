@@ -41,7 +41,11 @@ which rows take the merged node and which rows are searched:
 - The lazy repair, for ``dlaec`` and ``dapplaec``, searches nothing: the
   merged node's neighbours are filtered from its parents' lists by an
   upper bound on its similarity to every other node, and a row takes the
-  merged node when it beats the row's weakest surviving arc. A row left
+  merged node when it beats the row's weakest surviving arc. The bound is
+  settled first; when it is +inf, the merged node's row stays empty and
+  nothing is gathered for it. On clustered rows that is most merges: a
+  merged node's row is filled lazily, so its floor is +inf, and it is
+  usually short, which leaves the bound nothing to certify. A row left
   empty stays empty until the solver's next rebuild.
 
 Both repair the in-neighbour block with :func:`_repair_block`, a handful
@@ -993,24 +997,30 @@ def build_nn_graph(state: ContractionState, k: int) -> tuple[NNGraph, CandidateQ
     return graph, queue
 
 
-def _bound(k: int, *rows: tuple[list[tuple[int, float]], float]) -> float:
-    """Upper bound on the similarity between the merge of two nodes and any
+def _bound(graph: NNGraph, i: int, j: int) -> float:
+    """Upper bound on the similarity between the merge of i and j and any
     node outside the union of their neighbour lists, which filters the
-    merged node's list in the lazy repair; each of ``rows`` is one
-    parent's arcs and floor.
+    merged node's list in the lazy repair; read from the parents' rows and
+    floors in ``graph``, before the repair empties them.
 
-    Uses the smallest cached similarity of each parent's list. Lists that
-    are shorter than k and were not written by an exhaustive search (floor
-    ``+inf``) cannot certify the bound, so the +inf sentinel is returned.
-    The bound holds only while each list is its node's exact top k, which
-    lazy rows do not guarantee once a merge has passed them by; the exact
-    repair relies on row floors instead.
+    Uses the smallest cached similarity of each parent's list. A list that
+    is empty, or shorter than k and not written by an exhaustive search
+    (floor ``+inf``), cannot certify the bound, so the +inf sentinel is
+    returned, and no similarity reaches it: the merged node's list is
+    empty without anything gathered for it. That is the common case on
+    clustered rows, because a merged node's row is filled lazily, so its
+    floor is +inf, and is usually short; a hub that keeps merging is such a
+    parent every time. The bound holds only while each list is its node's
+    exact top k, which lazy rows do not guarantee once a merge has passed
+    them by; the exact repair relies on row floors instead.
     """
     total = 0.0
-    for arcs, floor in rows:
-        if not arcs or (len(arcs) < k and floor == INF):
+    for u in (i, j):
+        ts = graph.nbr[u].tolist()
+        free = ts.count(-1)
+        if free == graph.k or (free and graph.floor.item(u) == INF):
             return INF
-        total += min(s for _, s in arcs)
+        total += min(s for t, s in zip(ts, graph.sim[u].tolist()) if t >= 0)
     return total
 
 
@@ -1049,9 +1059,13 @@ def incremental_update(
 
     The merged node's arcs are its parents' combined neighbour lists
     filtered by the contraction bound (:func:`_bound`), possibly none, and
-    its floor stays ``+inf``. Nodes that listed i or j keep their surviving
-    arcs and receive an arc to ``m`` when it beats their weakest surviving
-    one; a row left empty stays empty until the solver's next rebuild. The
+    its floor stays ``+inf``. The bound is settled first, from the parents'
+    rows and floors: when it is +inf, as on most merges of clustered rows
+    (a merged parent's row is lazy, with floor +inf, and usually short), no
+    similarity can pass it, so nothing is gathered for m and its row stays
+    empty. Nodes that listed i or j keep their surviving arcs and receive
+    an arc to ``m`` when it beats their weakest surviving one; a row left
+    empty stays empty until the solver's next rebuild. The
     batch carries every changed row's new queue entry, taken from the
     repaired block or m's ranked list. Returns (the batch, 0 searches), the
     shape :func:`exhaustive_update` returns.
@@ -1063,24 +1077,24 @@ def incremental_update(
     product over the sorted rows and leave the same graph and batch.
     """
     state.check_alive(m)
-    k = graph.k
-    floors = graph.floor.item(i), graph.floor.item(j)
-    arcs_i, arcs_j = graph.arcs(i), graph.arcs(j)
+    alive = state.alive
+    bound = _bound(graph, i, j)
+    cand: list[int] = []
+    if bound < INF:
+        cand = sorted({t for t in chain(graph.nbr[i].tolist(), graph.nbr[j].tolist())
+                       if t >= 0 and alive.item(t)})
     graph._clear_row(i)
     graph._clear_row(j)
-    alive = state.alive
     rows = _in_neighbours(graph, alive, i, j, m)
     q_ids = rows[3:]
 
-    bound = _bound(k, (arcs_i, floors[0]), (arcs_j, floors[1]))
-    cand = sorted({t for t, _ in chain(arcs_i, arcs_j) if alive.item(t)})
     merged_arcs: list[tuple[int, float]] = []
     if cand:
         sims = state.sims_to(m, cand).tolist()
         passing = [(t, s) for t, s in zip(cand, sims) if s >= bound]
-        merged_arcs = sorted(passing, key=_rank_key)[:k]
-    # m is a fresh id, so its row is empty
-    graph.fill_row(m, merged_arcs)
+        merged_arcs = sorted(passing, key=_rank_key)[: graph.k]
+        # m is a fresh id, so its row is empty
+        graph.fill_row(m, merged_arcs)
     # the in-neighbours' entries come from the repair
     best_dst = np.empty(rows.size, dtype=np.int64)
     best_sim = np.empty(rows.size)

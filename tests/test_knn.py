@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densemulticut import knn
 from densemulticut.core import AlphaSign, ContractionState, FeatureMatrix
@@ -25,7 +27,41 @@ def targets(graph, u):
 
 def bound(graph, i, j):
     """The lazy repair's contraction bound for merging i and j."""
-    return knn._bound(graph.k, *((graph.arcs(u), graph.floor[u]) for u in (i, j)))
+    return knn._bound(graph, i, j)
+
+
+def spy_sims_to(monkeypatch):
+    """Record the ids of every ``ContractionState.sims_to`` call, the lazy
+    repair's gather of the merged node's candidates."""
+    calls = []
+    sims_to = ContractionState.sims_to
+
+    def spy(self, q, ids):
+        calls.append(list(ids))
+        return sims_to(self, q, ids)
+
+    monkeypatch.setattr(ContractionState, "sims_to", spy)
+    return calls
+
+
+def lazy_rows_after(graph, state, i, j, m):
+    """The rows of the alive nodes that list i or j, as the lazy entry rule
+    leaves them after merging (i, j) into m: arcs to i or j freed, and m in
+    the first freed cell when sim(q, m) is strictly above the row's weakest
+    surviving arc. Read from the graph before the update."""
+    want = {}
+    for q in state.alive_ids().tolist():
+        ts, ss = graph.nbr[q].tolist(), graph.sim[q].tolist()
+        if q == m or not {i, j} & set(ts):
+            continue
+        freed = [c for c, t in enumerate(ts) if t in (i, j)]
+        for c in freed:
+            ts[c], ss[c] = -1, -INF
+        s_m = state.sim(q, m)
+        if any(-INF < s < s_m for s in ss):
+            ts[freed[0]], ss[freed[0]] = m, s_m
+        want[q] = (ts, ss)
+    return want
 
 
 def state_from(rows, alpha=None, sign=AlphaSign.OFF):
@@ -195,6 +231,37 @@ class TestContractionBound:
         set_arcs(graph, 1, [(2, 0.4), (3, 0.1), (4, 0.05)], from_full=True)
         assert bound(graph, 0, 1) == pytest.approx(0.55)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        parents=st.lists(
+            st.tuples(
+                st.lists(st.booleans(), min_size=5, max_size=5),
+                st.lists(st.floats(-4, 4), min_size=5, max_size=5),
+                st.sampled_from([0.25, -INF, INF]),
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    def test_bound_reads_rows_and_floors(self, k, parents):
+        """+inf exactly when a parent's row is empty, or short with floor
+        +inf; otherwise the sum of the two rows' smallest similarities. A
+        row's arcs may sit in any cells, as after a lazy repair freed some."""
+        graph = NNGraph(k, 2)
+        rows = []
+        for u, (used, sims, floor) in enumerate(parents):
+            cells = [c for c in range(k) if used[c]]
+            # the parents 0 and 1 list the nodes 2 to k + 1
+            graph.nbr[u, cells] = [2 + c for c in cells]
+            graph.sim[u, cells] = [sims[c] for c in cells]
+            graph.floor[u] = floor
+            rows.append(([sims[c] for c in cells], floor))
+        if any(not arc_sims or (len(arc_sims) < k and floor == INF) for arc_sims, floor in rows):
+            assert bound(graph, 0, 1) == INF
+        else:
+            assert bound(graph, 0, 1) == 0.0 + min(rows[0][0]) + min(rows[1][0])
+
     def test_randomized_bound_and_skip_search(self, rng):
         """Merged-node similarities to nodes outside the parents' lists never
         exceed the bound; when k candidates pass, the filtered list equals
@@ -312,6 +379,63 @@ class TestIncrementalUpdate:
         new_arcs, searches = incremental_update(graph, state, 0, 1, m)
         assert searches == 0
         assert targets(graph, m) == []
+
+    def test_infinite_bound_gathers_nothing_for_merged_node(self, monkeypatch):
+        # lazy merges along the greedy order; a parent that is itself a
+        # merged node has a lazy row (floor +inf), and where that row is
+        # short and not empty the bound is +inf
+        calls = spy_sims_to(monkeypatch)
+        fm = make_instance(40, 4, seed=17, alpha=0.4, sign=AlphaSign.MINUS)
+        state = ContractionState(fm)
+        graph, queue = build_nn_graph(state, 3)
+        events = 0
+        while (arc := best_arc(graph, queue, state)) is not None:
+            i, j, _ = arc
+            short_lazy = any(
+                graph.floor[u] == INF and 0 < len(graph.arcs(u)) < graph.k for u in (i, j)
+            )
+            m = state.contract(i, j)
+            want = lazy_rows_after(graph, state, i, j, m)
+            calls.clear()
+            batch, searches = incremental_update(graph, state, i, j, m)
+            queue.push_many(graph, batch)
+            if not short_lazy:
+                continue
+            events += 1
+            assert calls == []
+            assert searches == 0
+            assert graph.arcs(m) == []
+            assert graph.floor[m] == INF
+            at_m = batch.rows.tolist().index(m)
+            assert (batch.best_dst[at_m], batch.best_sim[at_m]) == (-1, -INF)
+            assert sorted(batch.rows[3:].tolist()) == sorted(want)
+            for q, (ts, ss) in want.items():
+                assert graph.nbr[q].tolist() == ts
+                np.testing.assert_allclose(graph.sim[q], ss, rtol=1e-12, atol=1e-12)
+        assert events >= 3
+
+    def test_finite_bound_gathers_sorted_alive_candidates_once(self, monkeypatch):
+        # the first merge: both parents hold full rows from the exhaustive
+        # build, so the bound is finite and m's row is filtered by it
+        calls = spy_sims_to(monkeypatch)
+        state = ContractionState(make_instance(30, 3, seed=4))
+        graph, queue = build_nn_graph(state, 4)
+        i, j, _ = best_arc(graph, queue, state)
+        assert all(len(graph.arcs(u)) == graph.k for u in (i, j))
+        b = bound(graph, i, j)
+        assert b < INF
+        union = set(targets(graph, i)) | set(targets(graph, j))
+        m = state.contract(i, j)
+        want = lazy_rows_after(graph, state, i, j, m)
+        cand = sorted(t for t in union if state.alive[t])
+        incremental_update(graph, state, i, j, m)
+        assert calls == [cand]
+        passing = sorted((t for t in cand if state.sim(m, t) >= b),
+                         key=lambda t: (-state.sim(m, t), t))
+        assert 0 < len(passing) < len(cand)
+        assert targets(graph, m) == passing[: graph.k]
+        for q, (ts, ss) in want.items():
+            assert graph.nbr[q].tolist() == ts
 
     def test_lazy_node_with_all_arcs_dead_keeps_none(self):
         state = state_from([[1, 0], [0.99, 0.1], [0.98, -0.1], [0, 1]])

@@ -26,8 +26,10 @@ solvers (``dlaec`` and ``dapplaec``) under the benchmark's settings.
 It prints, per bucket of in-neighbour counts, the timed calls and the
 median microseconds per call of each path; the crossover, the smallest
 count from which the numpy path's median is below the Python path's in
-every bucket; and each solver's share of merges at or below ``_FEW_ROWS``
-and above it.
+every bucket; each solver's share of merges at or below ``_FEW_ROWS``
+and above it; and each solver's share of merges whose contraction bound
+(``knn._bound``, read before the update) is +inf, the merges on which the
+merged node's row is left empty with nothing gathered for it.
 
 BLAS runs on the benchmark's thread count, as in ``tools/trace_digest.py``.
 """
@@ -79,9 +81,10 @@ def segments(graph) -> bytes:
     return bounds.tobytes() + np.concatenate(parts).tobytes()
 
 
-def forced_digest(fm, cfg, path: str) -> tuple[str, list[int]]:
+def forced_digest(fm, cfg, path: str) -> tuple[str, list[int], int]:
     """Solve with every block forced through ``path``; returns the digest
-    of every update and of the solve, and each merge's in-neighbours."""
+    of every update and of the solve, each merge's in-neighbours and the
+    number of merges whose contraction bound is +inf."""
     import numpy as np
 
     from densemulticut import knn, solvers
@@ -89,10 +92,12 @@ def forced_digest(fm, cfg, path: str) -> tuple[str, list[int]]:
     update = knn.incremental_update
     h = hashlib.blake2b(digest_size=8)
     counts: list[int] = []
+    infinite = [0]
     graphs = []
 
     def digesting(graph, state, i, j, m):
         counts.append(in_neighbours(graph, state, i, j, m))
+        infinite[0] += knn._bound(graph, i, j) == knn.INF
         batch, searches = update(graph, state, i, j, m)
         rows = batch.rows
         for arr in (rows, batch.best_sim, batch.best_dst, graph.nbr[rows], graph.sim[rows]):
@@ -117,7 +122,7 @@ def forced_digest(fm, cfg, path: str) -> tuple[str, list[int]]:
     for arr in (graph.nbr, graph.sim, graph.floor):
         h.update(arr.tobytes())
     h.update(segments(graph))
-    return h.hexdigest(), counts
+    return h.hexdigest(), counts, infinite[0]
 
 
 def alternating_times(fm, cfg, first: int, times: dict[str, dict[str, list[int]]]) -> None:
@@ -174,12 +179,12 @@ def main(argv: list[str]) -> int:
         fm = workload.regime.instance(args.seed)
         for alg in (workload.ref, workload.alt):
             cfg = bench.config(alg)
-            (a, counts), (b, _) = (forced_digest(fm, cfg, path) for path in FORCE)
+            (a, counts, infinite), (b, _, _) = (forced_digest(fm, cfg, path) for path in FORCE)
             mismatches += a != b
             for rep in range(args.repeats):
                 alternating_times(fm, cfg, rep, times)
             few = sum(c <= knn._FEW_ROWS for c in counts) / len(counts)
-            shares.append((name, alg, len(counts), few, statistics.fmean(counts)))
+            shares.append((name, alg, len(counts), few, statistics.fmean(counts), infinite))
             print(f"{name} {alg}: {len(counts)} merges, "
                   f"{'paths agree' if a == b else 'PATHS DIFFER'}", flush=True)
 
@@ -201,9 +206,12 @@ def main(argv: list[str]) -> int:
     print(f"crossover: numpy is faster from {crossover} in-neighbours on"
           if crossover else "crossover: the Python path is faster in the last bucket")
     print(f"\nmerges per side of _FEW_ROWS = {knn._FEW_ROWS}")
-    for name, alg, total, few, mean in shares:
+    for name, alg, total, few, mean, _ in shares:
         print(f"{name} {alg}: {few:.1%} at or below, {1 - few:.1%} above "
               f"(mean {mean:.1f} in-neighbours over {total} merges)")
+    print("\nmerges whose contraction bound is +inf (merged node's row left empty)")
+    for name, alg, total, _, _, infinite in shares:
+        print(f"{name} {alg}: {infinite / total:.1%} ({infinite} of {total})")
     print("paths agree on every solve" if not mismatches else f"{mismatches} solvers differ")
     return 1 if mismatches else 0
 
